@@ -34,14 +34,19 @@
 // thread scaling is only meaningful when provenance.hardware_threads
 // exceeds the case's thread count.
 //
-// Usage: bench_kernels [out.json] [--kernel=NAME] [--side=N]
-//   --kernel substring-matches case names (e.g. --kernel=lb matches the
-//   LB row and both pinned variants); --side keeps one grid size.
+// Usage: bench_kernels [--out=PATH] [--kernel=NAME] [--side=N]
+//   --out names the JSON file (default BENCH_kernels.json); --kernel
+//   substring-matches case names (e.g. --kernel=lb matches the LB row and
+//   both pinned variants); --side keeps one grid size (>= 16).  Any other
+//   argument prints this usage and exits with status 2.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,6 +147,16 @@ Result run_case(const KernelCase& k, int side, int threads) {
   return r;
 }
 
+/// A grid side of at least 16, or nothing when `text` is not one.
+std::optional<int> parse_side(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < 16 || v > 1 << 16)
+    return std::nullopt;
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -172,12 +187,18 @@ int main(int argc, char** argv) {
   std::string kernel_filter;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--kernel=", 9) == 0) {
+    if (std::strncmp(a, "--out=", 6) == 0 && a[6] != '\0') {
+      path = a + 6;
+    } else if (std::strncmp(a, "--kernel=", 9) == 0) {
       kernel_filter = a + 9;
-    } else if (std::strncmp(a, "--side=", 7) == 0) {
-      sides = {std::max(16, std::atoi(a + 7))};
+    } else if (std::strncmp(a, "--side=", 7) == 0 && parse_side(a + 7)) {
+      sides = {*parse_side(a + 7)};
     } else {
-      path = a;
+      std::fprintf(stderr,
+                   "usage: %s [--out=PATH] [--kernel=NAME] [--side=N]\n"
+                   "  unrecognised argument: %s\n",
+                   argv[0], a);
+      return 2;
     }
   }
 

@@ -18,12 +18,14 @@
 // the slow host destroyed.  Results are printed as a table and written as
 // JSON (argv[1], default BENCH_loadbalance.json) so the measurement can
 // be committed with the code.
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/core/subsonic.hpp"
@@ -84,11 +86,27 @@ Mask2D closed_box(int nx, int ny) {
   return mask;
 }
 
+/// An arm's working directory, removed however the arm ends — a throw
+/// included.
+struct ScopedWorkdir {
+  std::string path;
+  explicit ScopedWorkdir(std::string p) : path(std::move(p)) {
+    std::filesystem::create_directories(path);
+  }
+  ~ScopedWorkdir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScopedWorkdir(const ScopedWorkdir&) = delete;
+  ScopedWorkdir& operator=(const ScopedWorkdir&) = delete;
+};
+
 Result run_arm(const Arm& arm, const Mask2D& mask, long fluid_cells,
                int steps) {
-  const std::string workdir = "/tmp/bench_loadbalance_" + std::string(arm.name)
-                              + "_" + std::to_string(::getpid());
-  ::mkdir(workdir.c_str(), 0755);
+  const ScopedWorkdir arm_dir("/tmp/bench_loadbalance_" +
+                              std::string(arm.name) + "_" +
+                              std::to_string(::getpid()));
+  const std::string& workdir = arm_dir.path;
 
   FluidParams p;
   p.dt = 1.0;
@@ -155,7 +173,13 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   for (const Arm& arm : arms) {
-    const Result r = run_arm(arm, mask, fluid_cells, steps);
+    Result r;
+    try {
+      r = run_arm(arm, mask, fluid_cells, steps);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "arm %s failed: %s\n", arm.name, e.what());
+      return 1;
+    }
     std::printf("%-16s %-14.4f %-12.3f %-14.0f %-6d %-6d %-13d %-10.3f "
                 "%-10.3f %.3f\n",
                 r.name.c_str(), r.max_t_calc_s, r.imbalance, r.throughput,

@@ -55,17 +55,35 @@ constexpr MessageTag make_tag(long step, int phase, int dir) {
          static_cast<MessageTag>(dir & 0x3F);
 }
 
-/// Tag for the over-decomposed (block) runtime, where several block pairs
-/// multiplex one rank-pair channel: the sending block's id is placed above
-/// the (step, phase, dir) bits, so the receiver can wait for precisely the
-/// message of one neighbouring block.  `src_block + 1` keeps block tags
-/// disjoint from plain make_tag() tags on a shared transport; the step
-/// field below stays collision-free while step < 2^24, far beyond any run
-/// this runtime performs.
+/// Bit position of the block field above make_tag()'s (step, phase, dir) bits.
+/// The step field below it stays collision-free while step < 2^24, far
+/// beyond any run this runtime performs.
+inline constexpr int kBlockFieldShift = 40;
+/// Block field value reserved for make_frame_tag().  make_block_tag()
+/// stores src_block + 1, so block ids up to kMaxBlockId never produce it.
+inline constexpr MessageTag kFrameBlockField = 0xFFFFFF;
+inline constexpr int kMaxBlockId = static_cast<int>(kFrameBlockField) - 2;
+
+/// Identity of one block's ghost strip in the over-decomposed (block)
+/// runtime: the sending block's id is placed above the (step, phase, dir)
+/// bits.  Strips bound for another rank travel as the segments of one
+/// coalesced frame per rank pair per exchange phase (src/comm/frame.hpp),
+/// each keyed by this tag, so the receiver can split the frame back into
+/// per-link payloads; strips between blocks of one rank key the in-rank
+/// mailbox the same way.  `src_block + 1` keeps block tags disjoint from
+/// plain make_tag() tags.
 constexpr MessageTag make_block_tag(long step, int phase, int dir,
                                     int src_block) {
-  return (static_cast<MessageTag>(src_block + 1) << 40) |
+  return (static_cast<MessageTag>(src_block + 1) << kBlockFieldShift) |
          make_tag(step, phase, dir);
+}
+
+/// Tag of the coalesced frame one rank sends another in exchange phase
+/// `phase` of `step`.  Its block field is the reserved kFrameBlockField,
+/// so a frame tag never equals a plain or block tag, even on a transport
+/// shared with the monolithic drivers (whose 2D sync epochs start at 0).
+constexpr MessageTag make_frame_tag(long step, int phase) {
+  return (kFrameBlockField << kBlockFieldShift) | make_tag(step, phase, 0);
 }
 
 class Transport {

@@ -31,6 +31,7 @@ BlockSet<Dim>::BlockSet(const Mask& mask, const FluidParams& params,
       tel_(tel) {
   SUBSONIC_REQUIRE(tel_ != nullptr);
   SUBSONIC_REQUIRE(rank >= 0 && rank < bd_.rank_count());
+  SUBSONIC_REQUIRE(bd_.block_count() <= kMaxBlockId + 1);
   ids_ = bd_.blocks_of(rank);
   locals_.reserve(ids_.size());
   for (int b : ids_) {
@@ -45,6 +46,21 @@ BlockSet<Dim>::BlockSet(const Mask& mask, const FluidParams& params,
     lb.links = Traits::make_block_links(bd_, b, ghost_, params_);
     lb.compute_timer = "compute.block_" + std::to_string(b);
     locals_.push_back(std::move(lb));
+  }
+  // Route every link: to the mailbox when the far block is ours, else to
+  // the frame of the rank that owns it.
+  std::map<int, std::vector<LinkRef>> by_rank;
+  for (int i = 0; i < local_count(); ++i)
+    for (int k = 0; k < static_cast<int>(locals_[i].links.size()); ++k) {
+      const int owner = bd_.owner(locals_[i].links[k].peer);
+      (owner == rank_ ? local_links_ : by_rank[owner])
+          .push_back(LinkRef{i, k});
+    }
+  for (auto& [r, links] : by_rank) {
+    PeerRank p;
+    p.rank = r;
+    p.links = std::move(links);
+    peers_.push_back(std::move(p));
   }
 }
 
@@ -66,39 +82,56 @@ long BlockSet<Dim>::step() const {
 }
 
 template <int Dim>
-void BlockSet<Dim>::post_sends(LocalBlock& b,
-                               const std::vector<FieldId>& fields, long step,
+void BlockSet<Dim>::post_sends(const std::vector<FieldId>& fields, long step,
                                int phase, const SendFn& send) {
-  for (const LinkPlan& link : b.links) {
-    const MessageTag tag = make_block_tag(step, phase, link.dir, b.id);
-    auto payload = Traits::pack(*b.domain, fields, link.send_box);
-    if (bd_.owner(link.peer) == rank_)
-      mailbox_[tag] = std::move(payload);
-    else
-      send(bd_.owner(link.peer), tag, std::move(payload));
+  for (const LinkRef& ref : local_links_) {
+    const LocalBlock& b = locals_[ref.local];
+    const LinkPlan& link = b.links[ref.link];
+    mailbox_[make_block_tag(step, phase, link.dir, b.id)] =
+        Traits::pack(*b.domain, fields, link.send_box);
+  }
+  for (PeerRank& p : peers_) {
+    for (const LinkRef& ref : p.links) {
+      const LocalBlock& b = locals_[ref.local];
+      const LinkPlan& link = b.links[ref.link];
+      Traits::pack_into(
+          *b.domain, fields, link.send_box,
+          p.outbox.begin_segment(make_block_tag(step, phase, link.dir, b.id)));
+      p.outbox.end_segment();
+    }
+    send(p.rank, make_frame_tag(step, phase), p.outbox.finish());
   }
 }
 
 template <int Dim>
-void BlockSet<Dim>::complete_recvs(LocalBlock& b,
-                                   const std::vector<FieldId>& fields,
+void BlockSet<Dim>::complete_recvs(const std::vector<FieldId>& fields,
                                    long step, int phase, const RecvFn& recv) {
-  for (const LinkPlan& link : b.links) {
-    // The tag exactly as the sending block composed it: its id, and this
-    // link's direction as seen from its side.
-    const MessageTag tag =
-        make_block_tag(step, phase, link.peer_dir, link.peer);
-    if (bd_.owner(link.peer) == rank_) {
-      const auto it = mailbox_.find(tag);
-      SUBSONIC_REQUIRE_MSG(it != mailbox_.end(),
-                           "intra-rank block message missing: sends of a "
-                           "phase must precede its receives");
-      Traits::unpack(*b.domain, fields, link.recv_box, it->second);
-      mailbox_.erase(it);
-    } else {
+  // A segment is keyed by the tag exactly as the sending block composed
+  // it: its id, and this link's direction as seen from its side.
+  const auto sender_tag = [&](const LinkPlan& link) {
+    return make_block_tag(step, phase, link.peer_dir, link.peer);
+  };
+  for (const PeerRank& p : peers_) {
+    FrameReader frame(recv(p.rank, make_frame_tag(step, phase)), p.rank);
+    for (const LinkRef& ref : p.links) {
+      LocalBlock& b = locals_[ref.local];
+      const LinkPlan& link = b.links[ref.link];
+      const auto count =
+          static_cast<std::size_t>(link.recv_box.count()) * fields.size();
       Traits::unpack(*b.domain, fields, link.recv_box,
-                     recv(bd_.owner(link.peer), tag));
+                     frame.take(sender_tag(link), count));
     }
+    frame.finish();
+  }
+  for (const LinkRef& ref : local_links_) {
+    LocalBlock& b = locals_[ref.local];
+    const LinkPlan& link = b.links[ref.link];
+    const auto it = mailbox_.find(sender_tag(link));
+    SUBSONIC_REQUIRE_MSG(it != mailbox_.end(),
+                         "intra-rank block message missing: sends of a "
+                         "phase must precede its receives");
+    Traits::unpack(*b.domain, fields, link.recv_box, it->second);
+    mailbox_.erase(it);
   }
 }
 
@@ -136,16 +169,14 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
         {
           telemetry::ScopedSpan span(tel_, rank_, "comm.post_sends", "comm",
                                      step);
-          for (LocalBlock& b : locals_)
-            post_sends(b, ex.fields, step, ex_index, send);
+          post_sends(ex.fields, step, ex_index, send);
         }
         for (LocalBlock& b : locals_)
           compute_block(b, phase.compute, ComputePass::kInterior);
         {
           telemetry::ScopedSpan span(tel_, rank_, "comm.complete_recvs",
                                      "comm", step);
-          for (LocalBlock& b : locals_)
-            complete_recvs(b, ex.fields, step, ex_index, recv);
+          complete_recvs(ex.fields, step, ex_index, recv);
         }
         ++i;  // the exchange phase was folded into the split
       } else {
@@ -154,10 +185,8 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
       }
     } else {
       telemetry::ScopedSpan span(tel_, rank_, "comm.exchange", "comm", step);
-      for (LocalBlock& b : locals_)
-        post_sends(b, phase.fields, step, static_cast<int>(i), send);
-      for (LocalBlock& b : locals_)
-        complete_recvs(b, phase.fields, step, static_cast<int>(i), recv);
+      post_sends(phase.fields, step, static_cast<int>(i), send);
+      complete_recvs(phase.fields, step, static_cast<int>(i), recv);
       tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
     }
   }
@@ -173,10 +202,8 @@ void BlockSet<Dim>::sync_all_fields(long sync_step, const SendFn& send,
     const int q = locals_.front().domain->q();
     for (int i = 0; i < q; ++i) all_fields.push_back(population(i));
   }
-  for (LocalBlock& b : locals_)
-    post_sends(b, all_fields, sync_step, kSyncPhase, send);
-  for (LocalBlock& b : locals_)
-    complete_recvs(b, all_fields, sync_step, kSyncPhase, recv);
+  post_sends(all_fields, sync_step, kSyncPhase, send);
+  complete_recvs(all_fields, sync_step, kSyncPhase, recv);
 }
 
 template class BlockSet<2>;

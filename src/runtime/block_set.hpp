@@ -4,19 +4,21 @@
 // overlap pattern lifted from one subregion to a block list —
 //
 //   for every block: compute the boundary band
-//   for every block: post the band messages (intra-rank: a local mailbox
-//                    handoff; inter-rank: the caller's send hook)
+//   post the phase's sends: one coalesced frame per peer rank
 //   for every block: compute the interior
-//   for every block: complete the receives
+//   complete the receives: one frame per peer rank, then the mailbox
 //
-// — so a neighbouring block on the same rank is served by a memcpy-cheap
-// mailbox entry while a block on another rank flows through the existing
-// transport, multiplexed on the rank-pair channel by make_block_tag.
-// Kernels are untouched and see exactly the ghost data the monolithic
-// runtime would supply, which is what makes blocked runs bitwise equal to
-// monolithic ones (tested).  Compute time is charged per block
-// ("compute.block_<id>"), giving the rebalancer the per-block T_calc the
-// issue's telemetry loop feeds on.
+// Ghost strips between two blocks of this rank go through an in-rank
+// mailbox keyed by make_block_tag.  Every strip bound for another rank is
+// packed as one segment, keyed by the same block tag, of the single frame
+// (src/comm/frame.hpp) this rank sends that rank in the phase under
+// make_frame_tag — so a rank pair exchanges exactly one message per
+// exchange phase, however many block edges it shares, and the receiver
+// splits the frame back into the per-link payloads.  Kernels are untouched
+// and see exactly the ghost data the monolithic runtime would supply,
+// which is what makes blocked runs bitwise equal to monolithic ones
+// (tested).  Compute time is charged per block ("compute.block_<id>"),
+// giving the rebalancer the per-block T_calc its telemetry loop feeds on.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/comm/frame.hpp"
 #include "src/comm/transport.hpp"
 #include "src/runtime/domain_traits.hpp"
 #include "src/telemetry/telemetry.hpp"
@@ -43,7 +46,8 @@ class BlockSet {
 
   /// Inter-rank hooks: send(dst_rank, tag, payload) and
   /// recv(src_rank, tag) -> payload, typically bound to a Transport or a
-  /// TcpEndpoint.  Never invoked for intra-rank block pairs.
+  /// TcpEndpoint.  Each carries one coalesced frame per peer rank and
+  /// exchange phase; never invoked for intra-rank block pairs.
   using SendFn =
       std::function<void(int, MessageTag, std::vector<double>)>;
   using RecvFn = std::function<std::vector<double>(int, MessageTag)>;
@@ -93,11 +97,23 @@ class BlockSet {
     std::vector<LinkPlan> links;  ///< peer = neighbouring *block* id
     std::string compute_timer;    ///< "compute.block_<id>"
   };
+  /// One link of one local block.
+  struct LinkRef {
+    int local = -1;  ///< index into locals_
+    int link = -1;   ///< index into that block's links
+  };
+  /// A rank this rank shares block edges with: the links whose far block
+  /// it owns, in block then link order, and the frame encoder for them.
+  struct PeerRank {
+    int rank = -1;
+    std::vector<LinkRef> links;
+    FrameWriter outbox;
+  };
 
-  void post_sends(LocalBlock& b, const std::vector<FieldId>& fields,
-                  long step, int phase, const SendFn& send);
-  void complete_recvs(LocalBlock& b, const std::vector<FieldId>& fields,
-                      long step, int phase, const RecvFn& recv);
+  void post_sends(const std::vector<FieldId>& fields, long step, int phase,
+                  const SendFn& send);
+  void complete_recvs(const std::vector<FieldId>& fields, long step,
+                      int phase, const RecvFn& recv);
 
   BlockDecomp bd_;
   FluidParams params_;
@@ -107,6 +123,8 @@ class BlockSet {
   std::vector<Phase> schedule_;
   std::vector<int> ids_;
   std::vector<LocalBlock> locals_;
+  std::vector<LinkRef> local_links_;  ///< links between blocks of this rank
+  std::vector<PeerRank> peers_;       ///< ascending rank
   /// Intra-rank mailbox, keyed by the sender's full block tag.  Sends of a
   /// phase always precede its receives, so a lookup never misses.
   std::map<MessageTag, std::vector<double>> mailbox_;

@@ -129,9 +129,10 @@ typename BlockedDriver<Dim>::Field BlockedDriver<Dim>::gather(
 
 template <int Dim>
 void BlockedDriver<Dim>::sync_ghosts() {
-  // Block sync tags carry a nonzero block-id field, so this counter can
-  // never collide with the monolithic drivers' sync tags even on a shared
-  // transport; the 2D/3D bases stay disjoint as in ParallelDriver.
+  // Block sync frames carry the reserved frame field (make_frame_tag), so
+  // this counter can never collide with the monolithic drivers' sync tags
+  // even on a shared transport; the 2D/3D bases stay disjoint as in
+  // ParallelDriver.
   static std::atomic<long> sync_epoch{Traits::kSyncEpochBase};
   const long epoch = sync_epoch.fetch_add(1);
 

@@ -8,6 +8,7 @@
 // written once as a template and instantiated for 2D and 3D.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/decomp/block_decomposition.hpp"
@@ -91,8 +92,13 @@ struct DomainTraits<2> {
     return pack2d(dom, fields, box);
   }
 
+  static void pack_into(const Domain& dom, const std::vector<FieldId>& fields,
+                        Box box, std::vector<double>& out) {
+    pack2d_into(dom, fields, box, out);
+  }
+
   static void unpack(Domain& dom, const std::vector<FieldId>& fields,
-                     Box box, const std::vector<double>& payload) {
+                     Box box, std::span<const double> payload) {
     unpack2d(dom, fields, box, payload);
   }
 
@@ -211,8 +217,13 @@ struct DomainTraits<3> {
     return pack3d(dom, fields, box);
   }
 
+  static void pack_into(const Domain& dom, const std::vector<FieldId>& fields,
+                        Box box, std::vector<double>& out) {
+    pack3d_into(dom, fields, box, out);
+  }
+
   static void unpack(Domain& dom, const std::vector<FieldId>& fields,
-                     Box box, const std::vector<double>& payload) {
+                     Box box, std::span<const double> payload) {
     unpack3d(dom, fields, box, payload);
   }
 

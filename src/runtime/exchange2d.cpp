@@ -1,5 +1,7 @@
 #include "src/runtime/exchange2d.hpp"
 
+#include <algorithm>
+
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -72,24 +74,33 @@ std::vector<LinkPlan2D> make_link_plans2d(const Decomposition2D& d, int rank,
 std::vector<double> pack2d(const Domain2D& dom,
                            const std::vector<FieldId>& fields, Box2 box) {
   std::vector<double> payload;
-  payload.reserve(static_cast<size_t>(box.count()) * fields.size());
-  for (FieldId id : fields) {
-    const PaddedField2D<double>& u = dom.field(id);
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x) payload.push_back(u(x, y));
-  }
+  pack2d_into(dom, fields, box, payload);
   return payload;
 }
 
+void pack2d_into(const Domain2D& dom, const std::vector<FieldId>& fields,
+                 Box2 box, std::vector<double>& out) {
+  const size_t base = out.size();
+  out.resize(base + static_cast<size_t>(box.count()) * fields.size());
+  double* dst = out.data() + base;
+  for (FieldId id : fields) {
+    const PaddedField2D<double>& u = dom.field(id);
+    for (int y = box.y0; y < box.y1; ++y)
+      dst = std::copy_n(&u(box.x0, y), box.width(), dst);
+  }
+}
+
 void unpack2d(Domain2D& dom, const std::vector<FieldId>& fields, Box2 box,
-              const std::vector<double>& payload) {
+              std::span<const double> payload) {
   SUBSONIC_REQUIRE(payload.size() ==
                    static_cast<size_t>(box.count()) * fields.size());
-  size_t k = 0;
+  const double* src = payload.data();
   for (FieldId id : fields) {
     PaddedField2D<double>& u = dom.field(id);
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x) u(x, y) = payload[k++];
+    for (int y = box.y0; y < box.y1; ++y) {
+      std::copy_n(src, box.width(), &u(box.x0, y));
+      src += box.width();
+    }
   }
 }
 

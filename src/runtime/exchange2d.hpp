@@ -6,6 +6,7 @@
 // inactive (all-solid) subregions are dropped.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/decomp/decomposition.hpp"
@@ -35,8 +36,17 @@ std::vector<LinkPlan2D> make_link_plans2d(const Decomposition2D& d, int rank,
 std::vector<double> pack2d(const Domain2D& dom,
                            const std::vector<FieldId>& fields, Box2 box);
 
+/// pack2d appending to `out` (a frame segment) instead of a new payload.
+void pack2d_into(const Domain2D& dom, const std::vector<FieldId>& fields,
+                 Box2 box, std::vector<double>& out);
+
 /// Unpacks a payload produced by pack2d into `box` of `dom`.
 void unpack2d(Domain2D& dom, const std::vector<FieldId>& fields, Box2 box,
-              const std::vector<double>& payload);
+              std::span<const double> payload);
+/// Also takes a braced payload ({1.0, 2.0}), which std::span cannot.
+inline void unpack2d(Domain2D& dom, const std::vector<FieldId>& fields,
+                     Box2 box, const std::vector<double>& payload) {
+  unpack2d(dom, fields, box, std::span<const double>(payload));
+}
 
 }  // namespace subsonic

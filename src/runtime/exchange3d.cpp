@@ -1,5 +1,7 @@
 #include "src/runtime/exchange3d.hpp"
 
+#include <algorithm>
+
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -84,26 +86,35 @@ std::vector<LinkPlan3D> make_link_plans3d(const Decomposition3D& d, int rank,
 std::vector<double> pack3d(const Domain3D& dom,
                            const std::vector<FieldId>& fields, Box3 box) {
   std::vector<double> payload;
-  payload.reserve(static_cast<size_t>(box.count()) * fields.size());
+  pack3d_into(dom, fields, box, payload);
+  return payload;
+}
+
+void pack3d_into(const Domain3D& dom, const std::vector<FieldId>& fields,
+                 Box3 box, std::vector<double>& out) {
+  const size_t base = out.size();
+  out.resize(base + static_cast<size_t>(box.count()) * fields.size());
+  double* dst = out.data() + base;
   for (FieldId id : fields) {
     const PaddedField3D<double>& u = dom.field(id);
     for (int z = box.z0; z < box.z1; ++z)
       for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x) payload.push_back(u(x, y, z));
+        dst = std::copy_n(&u(box.x0, y, z), box.width(), dst);
   }
-  return payload;
 }
 
 void unpack3d(Domain3D& dom, const std::vector<FieldId>& fields, Box3 box,
-              const std::vector<double>& payload) {
+              std::span<const double> payload) {
   SUBSONIC_REQUIRE(payload.size() ==
                    static_cast<size_t>(box.count()) * fields.size());
-  size_t k = 0;
+  const double* src = payload.data();
   for (FieldId id : fields) {
     PaddedField3D<double>& u = dom.field(id);
     for (int z = box.z0; z < box.z1; ++z)
-      for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x) u(x, y, z) = payload[k++];
+      for (int y = box.y0; y < box.y1; ++y) {
+        std::copy_n(src, box.width(), &u(box.x0, y, z));
+        src += box.width();
+      }
   }
 }
 

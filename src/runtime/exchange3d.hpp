@@ -2,6 +2,7 @@
 // neighbours (full stencil); direction indices are (dz+1)*9+(dy+1)*3+(dx+1).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/decomp/decomposition.hpp"
@@ -25,7 +26,10 @@ std::vector<LinkPlan3D> make_link_plans3d(const Decomposition3D& d, int rank,
 std::vector<double> pack3d(const Domain3D& dom,
                            const std::vector<FieldId>& fields, Box3 box);
 
+void pack3d_into(const Domain3D& dom, const std::vector<FieldId>& fields,
+                 Box3 box, std::vector<double>& out);
+
 void unpack3d(Domain3D& dom, const std::vector<FieldId>& fields, Box3 box,
-              const std::vector<double>& payload);
+              std::span<const double> payload);
 
 }  // namespace subsonic

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
+#include "src/comm/in_memory_transport.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/serial3d.hpp"
 
@@ -172,6 +175,76 @@ TEST(BlockedDriver, OwnerMapRewriteMidRunIsBitwise) {
       ASSERT_EQ(a(x, y), b(x, y)) << x << "," << y;
       ASSERT_EQ(ar(x, y), br(x, y)) << x << "," << y;
     }
+}
+
+long exchange_phases(const std::vector<Phase>& schedule) {
+  return std::count_if(schedule.begin(), schedule.end(), [](const Phase& ph) {
+    return ph.kind == Phase::Kind::kExchange;
+  });
+}
+
+// Ghost strips bound for another rank travel as one coalesced frame per
+// rank pair per exchange phase, however many block edges the pair shares.
+// On a 2x2 rank grid every rank borders the other three (the diagonal one
+// through the corner), so 4 x 3 = 12 directed rank pairs each carry one
+// message per exchange phase, and the construction-time sync one more.
+TEST(BlockedDriver, OneFramePerRankPairPerExchangePhase) {
+  const Mask2D mask = closed_box(96, 96, 1);
+  const long pairs = 4 * 3;
+  const int steps = 10;
+  struct Case {
+    Method method;
+    double dt;
+    Scheduling sched;
+  };
+  for (const Case& c : {Case{Method::kLatticeBoltzmann, 1.0,
+                             Scheduling::kOverlap},
+                        Case{Method::kLatticeBoltzmann, 1.0,
+                             Scheduling::kLegacy},
+                        Case{Method::kFiniteDifference, 0.5,
+                             Scheduling::kOverlap}}) {
+    SCOPED_TRACE(static_cast<int>(c.method) * 10 + static_cast<int>(c.sched));
+    FluidParams p;
+    p.dt = c.dt;
+    auto transport = std::make_shared<InMemoryTransport>(4);
+    BlockedDriver<2> driver(mask, p, c.method, GridShape{2, 2, 1},
+                            /*block_side=*/16, transport, c.sched);
+    ASSERT_EQ(driver.blocks().block_count(), 36);
+    EXPECT_EQ(transport->messages_delivered(), pairs);  // the initial sync
+    driver.run(steps);
+    EXPECT_EQ(transport->messages_delivered(),
+              pairs * (1 + steps * exchange_phases(make_schedule2d(c.method))));
+    expect_matches_serial2d(driver, mask, p, c.method, steps);
+  }
+}
+
+TEST(BlockedDriver, OneFramePerRankPairPerExchangePhase3D) {
+  // 2x2x2 ranks over 4x4x4 blocks: every rank borders the other seven.
+  Mask3D mask(Extents3{24, 24, 24}, 1);
+  mask.fill_box({9, 9, 9, 15, 15, 15}, NodeType::kWall);
+  FluidParams p;
+  p.dt = 1.0;
+  const long pairs = 8 * 7;
+  const int steps = 4;
+  auto transport = std::make_shared<InMemoryTransport>(8);
+  BlockedDriver<3> driver(mask, p, Method::kLatticeBoltzmann,
+                          GridShape{2, 2, 2}, /*block_side=*/6, transport);
+  ASSERT_EQ(driver.blocks().block_count(), 64);
+  EXPECT_EQ(transport->messages_delivered(), pairs);
+  driver.run(steps);
+  EXPECT_EQ(transport->messages_delivered(),
+            pairs * (1 + steps * exchange_phases(make_schedule3d(
+                                     Method::kLatticeBoltzmann))));
+  SerialDriver3D serial(mask, p, Method::kLatticeBoltzmann);
+  serial.run(steps);
+  const auto rho = driver.gather(FieldId::kRho);
+  const auto vx = driver.gather(FieldId::kVx);
+  for (int z = 0; z < 24; ++z)
+    for (int y = 0; y < 24; ++y)
+      for (int x = 0; x < 24; ++x) {
+        ASSERT_EQ(rho(x, y, z), serial.domain().rho()(x, y, z));
+        ASSERT_EQ(vx(x, y, z), serial.domain().vx()(x, y, z));
+      }
 }
 
 }  // namespace

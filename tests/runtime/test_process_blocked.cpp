@@ -228,5 +228,34 @@ TEST(BlockedProcessRuntime, KillAfterRebalanceRestoresFromCommittedEpoch) {
                                 workdir);
 }
 
+// A forked blocked run sends one coalesced frame per peer rank per
+// exchange phase (LB: one phase per step), plus one per peer for the
+// cohort-entry sync — not one message per block edge.  On the 2x2 grid
+// every rank's peers are the other three ranks.
+TEST(BlockedProcessRuntime, OneMessagePerPeerRankPerStep) {
+  ::unsetenv("SUBSONIC_FAULTS");
+  const Mask2D mask = closed_box(96, 96, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = make_workdir("frames");
+  ProcessRunOptions options;
+  options.block_side = 16;
+  const int steps = 12;
+  const ProcessRunResult r = run_multiprocess2d(
+      mask, p, Method::kLatticeBoltzmann, 2, 2, steps, workdir, options);
+  EXPECT_EQ(r.final_step, steps);
+  EXPECT_EQ(r.blocks, 36);
+  ASSERT_EQ(r.restarts, 0);  // a rolled-back round would re-send frames
+  ASSERT_EQ(r.rank_metrics.size(), 4u);
+  const long peers = 3;
+  for (const telemetry::RankMetrics& rm : r.rank_metrics) {
+    SCOPED_TRACE(rm.rank);
+    const long sent = rm.counter_or("transport.msgs_sent");
+    EXPECT_EQ(sent, peers * (steps + 1));
+  }
+  expect_blocked_matches_serial(mask, p, Method::kLatticeBoltzmann, 16, steps,
+                                workdir);
+}
+
 }  // namespace
 }  // namespace subsonic
