@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/file.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "src/comm/rendezvous.hpp"
 #include "src/telemetry/metrics.hpp"
@@ -43,12 +43,7 @@ int remaining_ms(bool has_deadline, Clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
-struct WireHeader {
-  std::uint64_t tag;
-  std::uint64_t count;
-  std::int32_t src;
-  std::int32_t dst;
-};
+void sleep_ms(int ms) { ::poll(nullptr, 0, ms); }
 
 }  // namespace
 
@@ -58,86 +53,126 @@ void TcpEndpoint::pump_wait_hooks() const {
     throw endpoint_aborted("endpoint wait aborted by rollback request");
 }
 
-/// Blocks until `fd` matches `events` (POLLIN/POLLOUT) or the deadline
-/// passes; throws peer_lost_error on expiry (charging `expired` when
-/// provided).  With liveness hooks configured the wait is sliced so the
-/// hooks are pumped every wait_slice_ms.
+void TcpEndpoint::lose_peer(const std::string& what) {
+  if (options_.metrics)
+    options_.metrics->counter(rank_, "transport.peer_lost").add();
+  throw peer_lost_error(what);
+}
+
+/// Blocks until `fd` matches `events` or the deadline passes; throws
+/// peer_lost_error on expiry (charging `expired` when provided).  Peers
+/// with pending frames are drained as their sockets turn writable; fd < 0
+/// waits on them alone and returns after a drain, or at once if nothing
+/// is pending.  With liveness hooks the wait is sliced so the hooks are
+/// pumped every wait_slice_ms.
 void TcpEndpoint::wait_io(int fd, short events, bool has_deadline,
                           Clock::time_point deadline, const char* what,
                           telemetry::Counter* expired) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
+  std::vector<pollfd> fds;
+  std::vector<Outbox*> boxes;
   for (;;) {
-    if (sliced) pump_wait_hooks();
-    pollfd p{fd, events, 0};
+    if (sliced()) pump_wait_hooks();
+    fds.clear();
+    boxes.clear();
+    for (auto& [peer, box] : out_)
+      if (!box.frames.empty()) {
+        fds.push_back(pollfd{box.fd, POLLOUT, 0});
+        boxes.push_back(&box);
+      }
+    if (fd < 0 && boxes.empty()) return;
+    if (fd >= 0) fds.push_back(pollfd{fd, events, 0});
     int timeout = remaining_ms(has_deadline, deadline);
-    if (sliced) {
+    if (sliced()) {
       const int slice = std::max(1, options_.wait_slice_ms);
       timeout = timeout < 0 ? slice : std::min(timeout, slice);
     }
-    const int n = ::poll(&p, 1, timeout);
-    if (n > 0) return;  // ready, closed, or errored: read()/send() resolves it
-    if (n == 0) {
-      if (sliced && (!has_deadline || Clock::now() < deadline)) continue;
+    const int n = ::poll(fds.data(), fds.size(), timeout);
+    if (n < 0) {
+      if (errno != EINTR) throw_errno("poll");
+      continue;
+    }
+    bool drained = false;
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      drain(*boxes[i]);
+      drained = true;
+    }
+    if (drained) note_queue_depth();
+    // Ready, closed, or errored: the caller's read/accept resolves it.
+    if (fd >= 0 ? fds.back().revents != 0 : drained) return;
+    // An unsliced poll that timed out waited the whole remaining budget.
+    if (has_deadline && ((n == 0 && !sliced()) || Clock::now() >= deadline)) {
       if (expired) expired->add();
       throw peer_lost_error(std::string(what) +
                             ": recv deadline expired — peer presumed lost");
     }
-    if (errno != EINTR) throw_errno("poll");
   }
 }
 
-/// SIGPIPE-safe socket write: a dead peer yields peer_lost_error on this
-/// thread instead of a process-killing signal.  With liveness hooks the
-/// write is non-blocking + POLLOUT-waited, so kernel send-buffer pressure
-/// from a hung peer cannot wedge the sender past a rollback request.
-void TcpEndpoint::send_bytes(int peer, int fd, const void* data,
-                             std::size_t len) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n =
-        ::send(fd, p, len, MSG_NOSIGNAL | (sliced ? MSG_DONTWAIT : 0));
+/// Writes `box`'s frames in order until the socket stops taking bytes:
+/// one sendmsg per frame, header and payload as two iovecs.  MSG_DONTWAIT
+/// keeps the caller from blocking; MSG_NOSIGNAL turns a closed peer into
+/// peer_lost_error instead of a process-killing SIGPIPE.
+void TcpEndpoint::drain(Outbox& box) {
+  while (!box.frames.empty()) {
+    OutFrame& f = box.frames.front();
+    const std::size_t head = sizeof f.header;
+    const std::size_t body = f.payload.size() * sizeof(double);
+    iovec iov[2];
+    int parts = 0;
+    if (f.written < head)
+      iov[parts++] = {reinterpret_cast<char*>(&f.header) + f.written,
+                      head - f.written};
+    const std::size_t body_done = f.written > head ? f.written - head : 0;
+    if (body > body_done)
+      iov[parts++] = {reinterpret_cast<char*>(f.payload.data()) + body_done,
+                      body - body_done};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(parts);
+    const ssize_t n = ::sendmsg(box.fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (sliced && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_io(fd, POLLOUT, false, Clock::time_point{}, "send", nullptr);
-        continue;
-      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EPIPE || errno == ECONNRESET)
-        throw peer_lost_error("peer " + std::to_string(peer) +
-                              " closed TCP channel mid-send");
-      throw_errno("send");
+        lose_peer("peer " + std::to_string(box.peer) +
+                  " closed TCP channel mid-send");
+      throw_errno("sendmsg");
     }
-    p += n;
-    len -= static_cast<size_t>(n);
+    f.written += static_cast<std::size_t>(n);
+    if (f.written == head + body) box.frames.pop_front();
   }
 }
 
+void TcpEndpoint::note_queue_depth() {
+  if (!options_.metrics) return;
+  std::size_t frames = 0;
+  for (const auto& [peer, box] : out_) frames += box.frames.size();
+  options_.metrics->gauge(rank_, "transport.send_queue_depth")
+      .set(static_cast<double>(frames));
+}
+
+/// Reads `len` bytes, trying the socket before polling it: only an empty
+/// socket waits (and drains pending frames meanwhile).
 void TcpEndpoint::read_bytes(int fd, void* data, std::size_t len,
                              bool has_deadline, Clock::time_point deadline,
                              telemetry::Counter* expired) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
   char* p = static_cast<char*>(data);
   while (len > 0) {
-    if (has_deadline || sliced)
-      wait_io(fd, POLLIN, has_deadline, deadline, "read", expired);
-    const ssize_t n = ::read(fd, p, len);
+    const ssize_t n = ::recv(fd, p, len, MSG_DONTWAIT);
     if (n == 0) throw peer_lost_error("peer closed TCP channel");
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (sliced && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        wait_io(fd, POLLIN, has_deadline, deadline, "read", expired);
+        continue;
+      }
       if (errno == ECONNRESET)
         throw peer_lost_error("peer reset TCP channel");
-      throw_errno("read");
+      throw_errno("recv");
     }
     p += n;
-    len -= static_cast<size_t>(n);
+    len -= static_cast<std::size_t>(n);
   }
 }
 
@@ -199,21 +234,18 @@ TcpEndpoint::TcpEndpoint(int rank, int ranks, std::string registry_path,
 }
 
 TcpEndpoint::~TcpEndpoint() {
-  {
-    std::unique_lock<std::mutex> lock(send_mutex_);
-    // A send error empties the queue, so this also returns promptly on a
-    // wedged channel instead of waiting for frames that can never leave.
-    drain_cv_.wait(lock, [&] { return send_queue_.empty(); });
-    stop_ = true;
+  // Best effort: a peer may still be waiting on the last frames, but a
+  // destructor that unwinds an abandoned round must not throw.
+  try {
+    flush();
+  } catch (...) {
   }
-  send_cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
   for (auto& [peer, fd] : in_fds_) ::close(fd);
-  for (auto& [peer, fd] : out_fds_) ::close(fd);
+  for (auto& [peer, box] : out_) ::close(box.fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-int TcpEndpoint::lookup_port(int rank, std::string* host) const {
+int TcpEndpoint::lookup_port(int rank, std::string* host) {
   // Peers may not have registered yet; poll the registry — rendezvous
   // GET probes or shared-file reads — until the connect deadline.
   const auto deadline =
@@ -233,9 +265,9 @@ int TcpEndpoint::lookup_port(int rank, std::string* host) const {
         if (r == rank) return port;
     }
     if (Clock::now() >= deadline)
-      throw peer_lost_error("rank " + std::to_string(rank) +
-                            " never appeared in the port registry");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      lose_peer("rank " + std::to_string(rank) +
+                " never appeared in the port registry");
+    sleep_ms(5);
   }
 }
 
@@ -283,7 +315,7 @@ int TcpEndpoint::connect_to(int rank) {
     const bool capped = options_.connect_attempt_cap > 0 &&
                         attempts >= options_.connect_attempt_cap;
     if (capped || Clock::now() >= deadline)
-      throw peer_lost_error(
+      lose_peer(
           "rank " + std::to_string(rank_) + " could not connect to rank " +
           std::to_string(rank) + " after " + std::to_string(attempts) +
           " attempts (" + (capped ? "retry cap" : "connect deadline") +
@@ -293,85 +325,42 @@ int TcpEndpoint::connect_to(int rank) {
     lcg = lcg * 1664525u + 1013904223u;
     const int jitter_ms =
         static_cast<int>(lcg >> 16) % (backoff_ms / 2 + 1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(backoff_ms + jitter_ms));
+    sleep_ms(backoff_ms + jitter_ms);
     backoff_ms = std::min(backoff_ms * 2, 64);
   }
 }
 
-void TcpEndpoint::sender_loop() {
-  for (;;) {
-    SendJob job;
-    {
-      std::unique_lock<std::mutex> lock(send_mutex_);
-      send_cv_.wait(lock, [&] { return stop_ || !send_queue_.empty(); });
-      if (send_queue_.empty()) return;  // stop requested, queue drained
-      job = std::move(send_queue_.front());
-      send_queue_.pop_front();
-    }
-    try {
-      auto it = out_fds_.find(job.dst);
-      if (it == out_fds_.end()) {
-        const int fd = connect_to(job.dst);
-        const std::int32_t hello = rank_;
-        send_bytes(job.dst, fd, &hello, sizeof hello);
-        it = out_fds_.emplace(job.dst, fd).first;
-      }
-      WireHeader h{job.tag, job.payload.size(), rank_, job.dst};
-      send_bytes(job.dst, it->second, &h, sizeof h);
-      if (!job.payload.empty())
-        send_bytes(job.dst, it->second, job.payload.data(),
-                   job.payload.size() * sizeof(double));
-      if (options_.metrics) {
-        options_.metrics->counter(rank_, "transport.msgs_sent").add();
-        options_.metrics->counter(rank_, "transport.doubles_sent")
-            .add(static_cast<long long>(job.payload.size()));
-      }
-    } catch (...) {
-      if (options_.metrics) {
-        try {
-          throw;
-        } catch (const peer_lost_error&) {
-          options_.metrics->counter(rank_, "transport.peer_lost").add();
-        } catch (...) {
-        }
-      }
-      std::lock_guard<std::mutex> lock(send_mutex_);
-      send_error_ = std::current_exception();
-      send_queue_.clear();
-      drain_cv_.notify_all();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(send_mutex_);
-      if (send_queue_.empty()) drain_cv_.notify_all();
-      if (options_.metrics)
-        options_.metrics->gauge(rank_, "transport.send_queue_depth")
-            .set(static_cast<double>(send_queue_.size()));
-    }
-  }
+TcpEndpoint::Outbox& TcpEndpoint::outbox(int dst) {
+  auto it = out_.find(dst);
+  if (it != out_.end()) return it->second;
+  const int fd = connect_to(dst);
+  // A fresh socket's send buffer is empty, so the 4-byte hello goes out
+  // whole; a peer that is already gone fails the first frame's sendmsg.
+  const std::int32_t hello = rank_;
+  (void)::send(fd, &hello, sizeof hello, MSG_NOSIGNAL);
+  return out_.emplace(dst, Outbox{dst, fd, {}}).first->second;
 }
 
 void TcpEndpoint::send(int dst, MessageTag tag,
                        std::vector<double> payload) {
   SUBSONIC_REQUIRE(dst >= 0 && dst < ranks_);
-  {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (send_error_) std::rethrow_exception(send_error_);
-    if (!sender_.joinable())
-      sender_ = std::thread(&TcpEndpoint::sender_loop, this);
-    send_queue_.push_back(SendJob{dst, tag, std::move(payload)});
-    if (options_.metrics)
-      options_.metrics->gauge(rank_, "transport.send_queue_depth")
-          .set(static_cast<double>(send_queue_.size()));
+  Outbox& box = outbox(dst);
+  if (options_.metrics) {
+    options_.metrics->counter(rank_, "transport.msgs_sent").add();
+    options_.metrics->counter(rank_, "transport.doubles_sent")
+        .add(static_cast<long long>(payload.size()));
   }
-  send_cv_.notify_one();
+  const WireHeader h{tag, payload.size(), rank_, dst};
+  box.frames.push_back(OutFrame{h, std::move(payload)});
+  drain(box);
+  note_queue_depth();
 }
 
 void TcpEndpoint::flush() {
-  std::unique_lock<std::mutex> lock(send_mutex_);
-  drain_cv_.wait(lock, [&] { return send_queue_.empty(); });
-  if (send_error_) std::rethrow_exception(send_error_);
+  while (std::any_of(out_.begin(), out_.end(), [](const auto& kv) {
+    return !kv.second.frames.empty();
+  }))
+    wait_io(-1, 0, false, Clock::time_point{}, "flush", nullptr);
 }
 
 std::vector<double> TcpEndpoint::recv(int src, MessageTag tag) {
@@ -407,9 +396,7 @@ std::vector<double> TcpEndpoint::recv(int src, MessageTag tag) {
     // 2. Need the connection from src.
     auto cit = in_fds_.find(src);
     if (cit == in_fds_.end()) {
-      if (has_deadline || options_.wait_beacon || options_.abort_requested)
-        wait_io(listen_fd_, POLLIN, has_deadline, deadline, "accept",
-                expired);
+      wait_io(listen_fd_, POLLIN, has_deadline, deadline, "accept", expired);
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EINTR) continue;

@@ -6,6 +6,11 @@
 // the hello handshake.  This is the transport the fork()-based process
 // runtime uses, where each subregion really is a separate UNIX process.
 //
+// The endpoint starts no thread: send() writes each frame from the
+// caller's thread, and bytes the socket does not take wait in a per-peer
+// queue that every blocking wait (recv, accept, flush) drains, so a rank
+// parked on one peer never holds back bytes another peer needs.
+//
 // Failure semantics (the robustness layer): connects retry with backoff
 // while a slow peer is still coming up, sends are SIGPIPE-safe, and an
 // optional recv deadline converts a dead neighbour into a peer_lost_error
@@ -14,16 +19,12 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/comm/transport.hpp"
@@ -47,7 +48,7 @@ struct TcpEndpointOptions {
 
   /// Total budget for resolving a peer in the registry plus connecting to
   /// it, with exponential backoff between ECONNREFUSED retries.  On
-  /// expiry the sender surfaces peer_lost_error.
+  /// expiry send() throws peer_lost_error.
   int connect_deadline_ms = 10000;
 
   /// Hard cap on connect() attempts to one peer; reaching it surfaces a
@@ -57,23 +58,24 @@ struct TcpEndpointOptions {
   int connect_attempt_cap = 1000;
 
   /// Optional wire telemetry: when set, the endpoint charges per-rank
-  /// "transport.*" counters (messages/doubles sent and received, connect
-  /// retries, deadline expiries, peer losses), the send-queue-depth gauge
-  /// and the recv-wait timer into this registry.
+  /// "transport.*" counters (messages/doubles sent when send() accepts a
+  /// frame, and received; connect retries, deadline expiries, peer
+  /// losses), the send-queue-depth gauge (frames not yet fully written,
+  /// after each send or drain) and the recv-wait timer into this
+  /// registry.
   std::shared_ptr<telemetry::MetricsRegistry> metrics;
 
   /// Liveness hooks for the supervised runtime.  When either is set, every
-  /// blocking wait (recv poll, accept, connect backoff, registry poll, and
-  /// kernel send-buffer pressure) is sliced into wait_slice_ms chunks and
-  /// the hooks are pumped between slices:
+  /// blocking wait (recv poll, accept, flush, connect backoff and registry
+  /// poll) is sliced into wait_slice_ms chunks and the hooks are pumped
+  /// between slices:
   ///   * wait_beacon() lets a child keep heartbeating while it is parked
   ///     in a long exchange wait, so the watchdog can tell "waiting on a
   ///     dead peer" from "hung";
   ///   * abort_requested() returning true makes the wait throw
   ///     endpoint_aborted, unwinding the step loop so the child can roll
   ///     back in-process on the supervisor's signal.
-  /// Unset (the threaded runtime, plain tools), waits are single
-  /// full-deadline polls — bit-for-bit the old behaviour.
+  /// Unset, waits are single full-deadline polls.
   std::function<void()> wait_beacon;
   std::function<bool()> abort_requested;
   int wait_slice_ms = 50;
@@ -90,6 +92,7 @@ class TcpEndpoint {
   /// shared filesystem.
   TcpEndpoint(int rank, int ranks, std::string registry_path,
               TcpEndpointOptions options = {});
+  /// Flushes on a best-effort basis and never throws.
   ~TcpEndpoint();
 
   TcpEndpoint(const TcpEndpoint&) = delete;
@@ -97,16 +100,16 @@ class TcpEndpoint {
 
   int rank() const { return rank_; }
 
-  /// Queues a frame for `dst` and returns immediately; a background
-  /// sender thread owns the outgoing connections (connecting on first
-  /// use, which blocks *it* — not the caller — until the peer has
-  /// published its port).  A connect/write failure surfaces on the next
-  /// send() or flush().
+  /// Writes a frame for `dst` from the calling thread — header and
+  /// payload in one non-blocking sendmsg — and keeps, in order, the bytes
+  /// the socket does not take for later sends and waits to write.  The
+  /// first send to a peer connects, waiting until the peer has published
+  /// its port.  Throws peer_lost_error when the connect or a write fails.
   void send(int dst, MessageTag tag, std::vector<double> payload);
 
-  /// Blocks until every queued frame is on the wire.  Must be called
-  /// before a process _exit()s: a peer may still be waiting on the final
-  /// messages, and _exit would discard the queue.
+  /// Blocks until every frame is fully written.  Must be called before a
+  /// process _exit()s: a peer may still be waiting on the final messages.
+  /// Throws peer_lost_error when a write fails.
   void flush();
 
   /// Blocks until the message (src -> this rank, tag) arrives; frames
@@ -115,46 +118,55 @@ class TcpEndpoint {
   std::vector<double> recv(int src, MessageTag tag);
 
  private:
-  struct SendJob {
-    int dst = -1;
-    MessageTag tag = 0;
+  using Clock = std::chrono::steady_clock;
+
+  struct WireHeader {
+    std::uint64_t tag;
+    std::uint64_t count;
+    std::int32_t src;
+    std::int32_t dst;
+  };
+  /// A frame the socket has not fully taken yet.
+  struct OutFrame {
+    WireHeader header;
     std::vector<double> payload;
+    std::size_t written = 0;  // bytes of header + payload on the wire
+  };
+  struct Outbox {
+    int peer = -1;
+    int fd = -1;
+    std::deque<OutFrame> frames;
   };
 
+  bool sliced() const {
+    return options_.wait_beacon || options_.abort_requested;
+  }
   void pump_wait_hooks() const;
+  [[noreturn]] void lose_peer(const std::string& what);
   void wait_io(int fd, short events, bool has_deadline,
-               std::chrono::steady_clock::time_point deadline,
-               const char* what, telemetry::Counter* expired);
-  void send_bytes(int peer, int fd, const void* data, std::size_t len);
+               Clock::time_point deadline, const char* what,
+               telemetry::Counter* expired);
+  void drain(Outbox& box);
+  void note_queue_depth();
   void read_bytes(int fd, void* data, std::size_t len, bool has_deadline,
-                  std::chrono::steady_clock::time_point deadline,
-                  telemetry::Counter* expired);
-  int lookup_port(int rank, std::string* host) const;
+                  Clock::time_point deadline, telemetry::Counter* expired);
+  int lookup_port(int rank, std::string* host);
   int connect_to(int rank);
-  void sender_loop();
+  Outbox& outbox(int dst);
 
   int rank_;
   int ranks_;
   std::string registry_path_;
   TcpEndpointOptions options_;
-  // Set when registry_path_ is an "rdv:" endpoint; mutable because the
-  // sender thread resolves peers through it from const lookup_port.
-  mutable std::unique_ptr<rendezvous::Client> rdv_client_;
+  // Set when registry_path_ is an "rdv:" endpoint.
+  std::unique_ptr<rendezvous::Client> rdv_client_;
   int rdv_round_ = 0;
   int listen_fd_ = -1;
   int port_ = 0;
   std::map<int, int> in_fds_;
-  std::map<int, int> out_fds_;  // sender thread only
+  std::map<int, Outbox> out_;
   std::map<int, std::deque<std::pair<MessageTag, std::vector<double>>>>
       parked_;
-
-  std::thread sender_;  // spawned lazily on first send
-  std::mutex send_mutex_;
-  std::condition_variable send_cv_;
-  std::condition_variable drain_cv_;
-  std::deque<SendJob> send_queue_;
-  bool stop_ = false;
-  std::exception_ptr send_error_;
 };
 
 }  // namespace subsonic

@@ -108,8 +108,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// that never comes.  So the handler counts signals and the main loop
 /// counts consumed orders (the supervisor sends exactly one signal per
 /// order); a rollback is pending only while signals lead orders.
-/// Atomics, not sig_atomic_t: the transport's sender thread polls this
-/// from abort_requested.
+/// Atomics, not sig_atomic_t: the process-directed signal may land on any
+/// thread of the rank (a kernel worker-pool thread included), while the
+/// main thread polls the count — also from the endpoint's abort_requested
+/// hook inside its blocking waits.
 std::atomic<int> g_rollback_sig{0};
 std::atomic<int> g_rollback_ack{0};
 
@@ -162,9 +164,9 @@ void install_child_signal_handlers() {
 /// The hang fault: go completely silent and burn CPU forever — a
 /// livelock the watchdog must catch.  hard=1 first ignores SIGTERM so
 /// the supervisor's graceful rung falls through to SIGKILL.  Ignoring
-/// (process-wide disposition), not sigprocmask (per-thread): the
-/// endpoint's sender thread would otherwise take the process-directed
-/// SIGTERM and defeat the fault.
+/// (process-wide disposition), not sigprocmask (per-thread): any other
+/// thread of the rank, such as a kernel worker-pool thread, would
+/// otherwise take the process-directed SIGTERM and defeat the fault.
 [[noreturn]] void enter_hang(bool hard) {
   if (hard) ::signal(SIGTERM, SIG_IGN);
   for (;;) {

@@ -227,8 +227,8 @@ void Emitter::wait_tick() {
   const long long now = mono_now_ns();
   long long last = last_ns_.load(std::memory_order_relaxed);
   if (now - last < interval_ns_) return;
-  // One winner per interval even with the sender thread racing the main
-  // loop; losers simply skip — the beacon they wanted was just sent.
+  // One winner per interval even when several threads race here; losers
+  // simply skip — the beacon they wanted was just sent.
   if (!last_ns_.compare_exchange_strong(last, now, std::memory_order_relaxed))
     return;
   write_beacon(Phase::kWait, last_step_.load(std::memory_order_relaxed));

@@ -177,8 +177,10 @@ bool decode_metrics_frame(const unsigned char* in, std::size_t len,
 
 long long mono_now_ns();
 
-/// Child-side beacon writer.  Thread-safe: the main loop emits kStart /
-/// kStep while the transport's sender thread pumps wait_tick().
+/// Child-side beacon writer.  Thread-safe, so emit() and wait_tick() may
+/// be called from any thread; in a rank both run on the main thread — the
+/// step loop emits kStart / kStep and the endpoint's blocking waits pump
+/// wait_tick().
 class Emitter {
  public:
   Emitter() = default;

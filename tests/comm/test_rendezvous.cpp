@@ -124,17 +124,17 @@ TEST(Rendezvous, RetiringRoundsDropsOldGenerations) {
 }
 
 TEST(Rendezvous, PeerFetchDeadlineExpiryNamesTheMissingRank) {
-  // Rank 0 sends to a rank 1 that never registers: the connect deadline
-  // must convert the infinite poll into a peer_lost_error naming the
-  // missing rank, exactly like the file-registry path does.
+  // Rank 0 sends to a rank 1 that never registers.  send() connects on
+  // the caller's thread, so the connect deadline must convert the
+  // infinite poll into a peer_lost_error from send() itself, naming the
+  // missing rank exactly like the file-registry path does.
   Server server;
   TcpEndpointOptions opt;
   opt.connect_deadline_ms = 200;
   TcpEndpoint ep(0, 2, server.endpoint(), opt);
-  ep.send(1, 0, {1.0, 2.0});
   try {
-    ep.flush();
-    FAIL() << "flush() succeeded with no peer registered";
+    ep.send(1, 0, {1.0, 2.0});
+    FAIL() << "send() succeeded with no peer registered";
   } catch (const peer_lost_error& e) {
     EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
         << e.what();

@@ -13,12 +13,13 @@ namespace subsonic {
 namespace {
 
 struct Case3D {
-  const char* name;
   Method method;
+  const char* name;
   double filter_eps;
   int jx, jy, jz;
   bool periodic;
 };
+static_assert(sizeof(Case3D) == 40, "the printed size is part of test names");
 
 class Equivalence3D : public ::testing::TestWithParam<Case3D> {};
 
@@ -141,31 +142,31 @@ TEST_P(SchedulingEquivalence3D, LegacyAndOverlapBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Decompositions, SchedulingEquivalence3D,
     ::testing::Values(
-        Case3D{"lb_2x2x2_filter", Method::kLatticeBoltzmann, 0.2, 2, 2, 2,
+        Case3D{Method::kLatticeBoltzmann, "lb_2x2x2_filter", 0.2, 2, 2, 2,
                false},
-        Case3D{"fd_2x2x2", Method::kFiniteDifference, 0.0, 2, 2, 2, false},
-        Case3D{"fd_2x2x1_periodic_filter", Method::kFiniteDifference, 0.2, 2,
+        Case3D{Method::kFiniteDifference, "fd_2x2x2", 0.0, 2, 2, 2, false},
+        Case3D{Method::kFiniteDifference, "fd_2x2x1_periodic_filter", 0.2, 2,
                2, 1, true},
-        Case3D{"lb_3x1x1_pipeline", Method::kLatticeBoltzmann, 0.0, 3, 1, 1,
+        Case3D{Method::kLatticeBoltzmann, "lb_3x1x1_pipeline", 0.0, 3, 1, 1,
                false}),
     [](const auto& param_info) { return param_info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Decompositions, Equivalence3D,
     ::testing::Values(
-        Case3D{"lb_2x2x2", Method::kLatticeBoltzmann, 0.0, 2, 2, 2, false},
-        Case3D{"lb_4x1x1_pipeline", Method::kLatticeBoltzmann, 0.0, 4, 1, 1,
+        Case3D{Method::kLatticeBoltzmann, "lb_2x2x2", 0.0, 2, 2, 2, false},
+        Case3D{Method::kLatticeBoltzmann, "lb_4x1x1_pipeline", 0.0, 4, 1, 1,
                false},
-        Case3D{"lb_3x2x2_filter", Method::kLatticeBoltzmann, 0.2, 3, 2, 2,
+        Case3D{Method::kLatticeBoltzmann, "lb_3x2x2_filter", 0.2, 3, 2, 2,
                false},
-        Case3D{"lb_2x2x1_periodic", Method::kLatticeBoltzmann, 0.0, 2, 2, 1,
+        Case3D{Method::kLatticeBoltzmann, "lb_2x2x1_periodic", 0.0, 2, 2, 1,
                true},
-        Case3D{"fd_2x2x2", Method::kFiniteDifference, 0.0, 2, 2, 2, false},
-        Case3D{"fd_4x1x1_pipeline", Method::kFiniteDifference, 0.0, 4, 1, 1,
+        Case3D{Method::kFiniteDifference, "fd_2x2x2", 0.0, 2, 2, 2, false},
+        Case3D{Method::kFiniteDifference, "fd_4x1x1_pipeline", 0.0, 4, 1, 1,
                false},
-        Case3D{"fd_2x2x2_filter_periodic", Method::kFiniteDifference, 0.2, 2,
+        Case3D{Method::kFiniteDifference, "fd_2x2x2_filter_periodic", 0.2, 2,
                2, 2, true},
-        Case3D{"lb_1x1x3_periodic_filter", Method::kLatticeBoltzmann, 0.25,
+        Case3D{Method::kLatticeBoltzmann, "lb_1x1x3_periodic_filter", 0.25,
                1, 1, 3, true}),
     [](const auto& param_info) { return param_info.param.name; });
 
