@@ -11,8 +11,9 @@
 // Usage: telemetry_demo [workdir] [steps] [dims] [blocks]   (workdir must
 // exist; default "." / 24 steps / dims 2 / blocks 0).  dims 2 runs a 2x2
 // decomposition, dims 3 a 2x2x1 one — both through the same supervised
-// Cohort pipeline.  blocks > 0 routes the run through the over-decomposed
-// blocked runtime with that block side.
+// Cohort pipeline.  blocks 0 keeps one block per rank (block_<r>.dump is
+// rank r's subregion); blocks > 0 over-decomposes the grid into blocks of
+// that side.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

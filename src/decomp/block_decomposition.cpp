@@ -20,6 +20,11 @@ int block_side_from_env(int fallback) {
   return static_cast<int>(v);
 }
 
+int resolve_block_side(int option) {
+  if (option >= 0) return option;
+  return block_side_from_env(kDefaultBlockSide);
+}
+
 int block_count_for_axis(int n, int side, int min_side) {
   SUBSONIC_REQUIRE(n >= 1 && side >= 1 && min_side >= 1);
   // Round to the nearest block count, then clamp so even the smallest
@@ -71,9 +76,14 @@ std::vector<int> active_ranks_impl(const Owner& owner, int rank_count) {
 
 BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
                                            int side, int min_side)
-    : blocks_(mask.extents(),
-              block_count_for_axis(mask.extents().nx, side, min_side),
-              block_count_for_axis(mask.extents().ny, side, min_side)),
+    : blocks_(side == 0 ? Decomposition2D(mask.extents(), jx, jy)
+                        : Decomposition2D(mask.extents(),
+                                          block_count_for_axis(
+                                              mask.extents().nx, side,
+                                              min_side),
+                                          block_count_for_axis(
+                                              mask.extents().ny, side,
+                                              min_side))),
       ranks_(mask.extents(), jx, jy) {
   const auto active = subsonic::active_ranks(blocks_, mask);
   active_.assign(blocks_.rank_count(), false);
@@ -81,8 +91,9 @@ BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
   owner_.assign(blocks_.rank_count(), -1);
   for (int b : active) {
     const Box2 box = blocks_.box(b);
-    owner_[b] = ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
-                                (box.y0 + box.y1 - 1) / 2);
+    owner_[b] = side == 0 ? b
+                          : ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
+                                            (box.y0 + box.y1 - 1) / 2);
   }
 }
 
@@ -109,10 +120,14 @@ std::vector<int> BlockDecomposition2D::active_ranks() const {
 
 BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
                                            int jz, int side, int min_side)
-    : blocks_(mask.extents(),
-              block_count_for_axis(mask.extents().nx, side, min_side),
-              block_count_for_axis(mask.extents().ny, side, min_side),
-              block_count_for_axis(mask.extents().nz, side, min_side)),
+    : blocks_(side == 0
+                  ? Decomposition3D(mask.extents(), jx, jy, jz)
+                  : Decomposition3D(
+                        mask.extents(),
+                        block_count_for_axis(mask.extents().nx, side, min_side),
+                        block_count_for_axis(mask.extents().ny, side, min_side),
+                        block_count_for_axis(mask.extents().nz, side,
+                                             min_side))),
       ranks_(mask.extents(), jx, jy, jz) {
   const auto active = subsonic::active_ranks(blocks_, mask);
   active_.assign(blocks_.rank_count(), false);
@@ -120,9 +135,10 @@ BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
   owner_.assign(blocks_.rank_count(), -1);
   for (int b : active) {
     const Box3 box = blocks_.box(b);
-    owner_[b] = ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
-                                (box.y0 + box.y1 - 1) / 2,
-                                (box.z0 + box.z1 - 1) / 2);
+    owner_[b] = side == 0 ? b
+                          : ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
+                                            (box.y0 + box.y1 - 1) / 2,
+                                            (box.z0 + box.z1 - 1) / 2);
   }
 }
 

@@ -29,6 +29,13 @@ constexpr int kDefaultBlockSide = 32;
 /// Throws std::invalid_argument on a malformed value.
 int block_side_from_env(int fallback);
 
+/// The one reading of a block-side option, shared by the supervisor, the
+/// gather, the exec child and the threaded BlockedDriver: 0 is the
+/// paper's tiling (one block per rank), a negative value resolves via
+/// block_side_from_env(kDefaultBlockSide), a positive value is used as
+/// given.
+int resolve_block_side(int option);
+
 /// Number of blocks along an axis of `n` nodes for target side `side`,
 /// clamped so no block is thinner than `min_side` (the ghost width — a
 /// thinner block would need ghost data from non-adjacent blocks).
@@ -37,13 +44,13 @@ int block_count_for_axis(int n, int side, int min_side);
 /// 2D block decomposition: a fine (bx x by) block grid over the global
 /// extents plus a block→rank owner map seeded from the coarse (jx x jy)
 /// rank decomposition (each block starts on the rank whose subregion
-/// contains its center).  All-solid blocks get owner -1 and are never
-/// computed or exchanged with, exactly like inactive ranks in the
-/// monolithic decomposition.
+/// contains its center).  Side 0 is the coarsest tiling: the block grid
+/// *is* the rank decomposition and block b starts on rank b.  All-solid
+/// blocks get owner -1 and are never computed or exchanged with.
 class BlockDecomposition2D {
  public:
-  /// `side` is the target block side; `min_side` the smallest legal block
-  /// side (pass the ghost width).
+  /// `side` is the target block side (0: one block per rank); `min_side`
+  /// the smallest legal block side (pass the ghost width).
   BlockDecomposition2D(const Mask2D& mask, int jx, int jy, int side,
                        int min_side);
 

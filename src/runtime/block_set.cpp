@@ -174,9 +174,13 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
         for (LocalBlock& b : locals_)
           compute_block(b, phase.compute, ComputePass::kInterior);
         {
+          // The receive-completion wait is the exposed comm latency of an
+          // overlapped exchange; feed it to the same histogram the legacy
+          // path records so percentiles exist either way.
           telemetry::ScopedSpan span(tel_, rank_, "comm.complete_recvs",
                                      "comm", step);
           complete_recvs(ex.fields, step, ex_index, recv);
+          tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
         }
         ++i;  // the exchange phase was folded into the split
       } else {

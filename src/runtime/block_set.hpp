@@ -15,9 +15,9 @@
 // make_frame_tag — so a rank pair exchanges exactly one message per
 // exchange phase, however many block edges it shares, and the receiver
 // splits the frame back into the per-link payloads.  Kernels are untouched
-// and see exactly the ghost data the monolithic runtime would supply,
-// which is what makes blocked runs bitwise equal to monolithic ones
-// (tested).  Compute time is charged per block ("compute.block_<id>"),
+// and see exactly the ghost data a one-subregion-per-rank run would
+// supply, which is what makes runs bitwise equal across tilings and to
+// the serial run (tested).  Compute time is charged per block ("compute.block_<id>"),
 // giving the rebalancer the per-block T_calc its telemetry loop feeds on.
 #pragma once
 

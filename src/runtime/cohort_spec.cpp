@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 
 #include "src/io/atomic_file.hpp"
@@ -12,7 +14,7 @@ namespace subsonic::cohort {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53425350u;  // "SBSP"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 void put_u32(std::vector<char>& out, std::uint32_t v) {
   const char* p = reinterpret_cast<const char*>(&v);
@@ -33,9 +35,9 @@ struct Reader {
   const char* p;
   const char* end;
 
+  std::size_t left() const { return static_cast<std::size_t>(end - p); }
   void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n)
-      throw std::runtime_error("cohort spec truncated");
+    if (left() < n) throw std::runtime_error("cohort spec truncated");
   }
   std::uint32_t u32() {
     need(4);
@@ -58,11 +60,31 @@ struct Reader {
     p += 8;
     return v;
   }
-  char byte() {
+  NodeType node() {
     need(1);
-    return *p++;
+    const auto v = static_cast<std::uint8_t>(*p++);
+    if (v > static_cast<std::uint8_t>(NodeType::kOutlet))
+      throw std::runtime_error("cohort spec: bad node type");
+    return static_cast<NodeType>(v);
   }
 };
+
+/// Checks the padded node count of the mask the spec describes against
+/// the bytes left (one per node) before anything is allocated: extents
+/// read from a corrupt file must neither overflow int nor request more
+/// memory than the file could hold.  64-bit throughout; `extents` >= 1.
+void require_mask_fits(const Reader& r, std::initializer_list<int> extents,
+                       int ghost) {
+  const std::int64_t left = static_cast<std::int64_t>(r.left());
+  std::int64_t nodes = 1;
+  for (int n : extents) {
+    const std::int64_t padded = std::int64_t{n} + 2 * std::int64_t{ghost};
+    if (padded > std::numeric_limits<int>::max())
+      throw std::runtime_error("cohort spec: bad mask geometry");
+    if (padded > left / nodes) throw std::runtime_error("cohort spec truncated");
+    nodes *= padded;
+  }
+}
 
 }  // namespace
 
@@ -72,7 +94,6 @@ std::vector<char> serialize_cohort_spec(const CohortSpec& spec) {
   put_u32(out, kVersion);
   put_i32(out, spec.dim);
   put_i32(out, static_cast<std::int32_t>(spec.method));
-  put_i32(out, spec.blocked ? 1 : 0);
   put_i32(out, spec.block_side);
   put_i32(out, spec.grid.jx);
   put_i32(out, spec.grid.jy);
@@ -130,8 +151,11 @@ CohortSpec deserialize_cohort_spec(const char* data, std::size_t len) {
   spec.dim = r.i32();
   if (spec.dim != 2 && spec.dim != 3)
     throw std::runtime_error("cohort spec: bad dimension");
-  spec.method = static_cast<Method>(r.i32());
-  spec.blocked = r.i32() != 0;
+  const std::int32_t method = r.i32();
+  if (method != static_cast<std::int32_t>(Method::kFiniteDifference) &&
+      method != static_cast<std::int32_t>(Method::kLatticeBoltzmann))
+    throw std::runtime_error("cohort spec: bad method");
+  spec.method = static_cast<Method>(method);
   spec.block_side = r.i32();
   spec.grid.jx = r.i32();
   spec.grid.jy = r.i32();
@@ -155,24 +179,27 @@ CohortSpec deserialize_cohort_spec(const char* data, std::size_t len) {
   const int ny = r.i32();
   const int nz = r.i32();
   const int ghost = r.i32();
-  if (nx <= 0 || ny <= 0 || ghost < 0)
+  if (nx <= 0 || ny <= 0 || ghost < 0 || (spec.dim == 3 && nz <= 0))
     throw std::runtime_error("cohort spec: bad mask geometry");
   if (spec.dim == 2) {
+    require_mask_fits(r, {nx, ny}, ghost);
     spec.mask2 = Mask2D(Extents2{nx, ny}, ghost);
     for (int y = -ghost; y < ny + ghost; ++y)
-      for (int x = -ghost; x < nx + ghost; ++x)
-        spec.mask2.set(x, y, static_cast<NodeType>(r.byte()));
+      for (int x = -ghost; x < nx + ghost; ++x) spec.mask2.set(x, y, r.node());
   } else {
-    if (nz <= 0) throw std::runtime_error("cohort spec: bad mask geometry");
+    require_mask_fits(r, {nx, ny, nz}, ghost);
     spec.mask3 = Mask3D(Extents3{nx, ny, nz}, ghost);
     for (int z = -ghost; z < nz + ghost; ++z)
       for (int y = -ghost; y < ny + ghost; ++y)
         for (int x = -ghost; x < nx + ghost; ++x)
-          spec.mask3.set(x, y, z, static_cast<NodeType>(r.byte()));
+          spec.mask3.set(x, y, z, r.node());
   }
   const std::uint32_t owners = r.u32();
+  if (owners > r.left() / sizeof(std::int32_t))
+    throw std::runtime_error("cohort spec truncated");
   spec.owner.reserve(owners);
   for (std::uint32_t i = 0; i < owners; ++i) spec.owner.push_back(r.i32());
+  if (r.left() != 0) throw std::runtime_error("cohort spec: trailing bytes");
   return spec;
 }
 

@@ -23,14 +23,13 @@ namespace subsonic::cohort {
 struct CohortSpec {
   int dim = 2;
   Method method = Method::kLatticeBoltzmann;
-  bool blocked = false;
-  int block_side = 0;  ///< over-decomposition side (blocked runs only)
+  int block_side = 0;  ///< resolved block side (0: one block per rank)
   GridShape grid;
   FluidParams params;
   Mask2D mask2;  ///< the geometry when dim == 2
   Mask3D mask3;  ///< the geometry when dim == 3
-  /// Block -> rank owner map of the current segment (blocked runs only);
-  /// empty means the decomposition's default map.
+  /// Block -> rank owner map of the current segment; empty means the
+  /// decomposition's default map.
   std::vector<int> owner;
 
   void set_mask(const Mask2D& m) {
@@ -45,7 +44,10 @@ struct CohortSpec {
 
 std::vector<char> serialize_cohort_spec(const CohortSpec& spec);
 
-/// Throws std::runtime_error on a truncated or corrupt buffer.
+/// Throws std::runtime_error on a truncated or corrupt buffer: a wrong
+/// magic or version, an unknown dimension, method or node type, extents
+/// or an owner count that the remaining bytes cannot hold (checked before
+/// anything is allocated), or bytes left over after the owner map.
 CohortSpec deserialize_cohort_spec(const char* data, std::size_t len);
 
 /// Atomic write (tmp + rename), so a child can never observe a torn spec.

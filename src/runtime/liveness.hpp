@@ -308,9 +308,9 @@ struct EngineFailure {
   bool hung = false;
 };
 
-/// Runtime-specific callbacks the CohortEngine drives.  `spawn` forks the
-/// child (closing `close_in_child` in the child branch before entering
-/// child_main); the rest may be null.
+/// Runtime-specific callbacks the CohortEngine drives.  `spawn` starts the
+/// child (closing `close_in_child` in the child before entering
+/// child_main_blocked); the rest may be null.
 struct EngineHooks {
   std::function<pid_t(int rank, int generation, long restore_epoch,
                       int heartbeat_fd, int control_fd,
@@ -346,9 +346,9 @@ struct EngineHooks {
   std::function<void(const std::vector<EngineFailure>& failures)> fail;
 };
 
-/// The supervision loop shared by the plain and blocked supervisors:
-/// spawn a cohort, pump heartbeats, reap, watchdog, escalate, and recover
-/// surgically until every rank finished the current round cleanly.
+/// The supervisor's loop, run once per segment: spawn a cohort, pump
+/// heartbeats, reap, watchdog, escalate, and recover surgically until
+/// every rank finished the current round cleanly.
 class CohortEngine {
  public:
   CohortEngine(std::vector<int> ranks, const LivenessOptions& options,

@@ -1,15 +1,17 @@
-// The fork()-based process runtime, dimension-generic: each active
-// subregion runs in a real UNIX process, exactly as in the paper — "the
-// job-submit program ... begins a parallel subprocess on each workstation"
-// — with TCP/IP sockets between the processes and the shared port-registry
-// handshake.  On exit, every process leaves its state as a dump file in
-// the working directory, where it can be inspected or resumed (the dump
-// files double as the result-gathering mechanism for the parent; see
-// gather.hpp).
+// The supervised process runtime, dimension-generic: each active rank
+// runs in a real UNIX process, exactly as in the paper — "the job-submit
+// program ... begins a parallel subprocess on each workstation" — with
+// TCP/IP sockets between the processes and a rendezvous handshake.  A
+// rank steps the blocks the block -> rank owner map gives it; a plain run
+// (block_side 0) is the paper's tiling, one block per rank, its whole
+// J x K (x L) subregion.  On exit, every block leaves its state as a
+// dump file in the working directory, where it can be inspected or
+// resumed (the dump files double as the result-gathering mechanism for
+// the parent; see gather.hpp).
 //
 // The parent is a *supervisor*: it reaps children out of order with
 // waitpid(WNOHANG), commits staggered checkpoint epochs (an epoch MANIFEST
-// is written only once every active rank's dump is durable and CRC-clean),
+// is written only once every active block's dump is durable and CRC-clean),
 // pumps every child's heartbeat pipe through a hung-rank watchdog, and on
 // a casualty — an abnormal exit, or heartbeat silence past the adaptive
 // deadline (escalated SIGTERM -> grace -> SIGKILL) — restarts *only* the
@@ -17,7 +19,9 @@
 // in-process, up to a bounded restart budget (liveness.hpp).  Comm
 // deadlines inside the children turn a dead neighbour into a clean child
 // exit the supervisor can act on — a failed rank can slow a run down, but
-// it can neither hang it nor corrupt its results.
+// it can neither hang it nor corrupt its results.  With rebalancing on,
+// the supervisor runs the job in segments and moves blocks between ranks
+// at segment boundaries (the paper's stop + save + restart migration).
 //
 // run_supervised<Dim> is the single implementation; run_multiprocess2d /
 // run_multiprocess3d (process2d.hpp / process3d.hpp) are thin
@@ -79,16 +83,17 @@ struct ProcessRunOptions {
   /// record per phase); tracing additionally records every span.
   int trace = -1;
 
-  /// Over-decomposition block side.  0 (the default) keeps the monolithic
-  /// one-subregion-per-rank runtime — and its exact on-disk layout and
-  /// bitwise output.  -1 resolves via the SUBSONIC_BLOCKS environment
-  /// variable with kDefaultBlockSide as the fallback; > 0 is an explicit
-  /// target side.  Any nonzero value routes the run through the blocked
-  /// runtime (per-block checkpoints, per-block compute telemetry).
+  /// Block side (resolve_block_side).  0 (the default) is the paper's
+  /// decomposition as the block grid: one block per rank, block id ==
+  /// rank.  -1 resolves via the SUBSONIC_BLOCKS environment variable with
+  /// kDefaultBlockSide as the fallback; > 0 is an explicit target side
+  /// that over-decomposes the grid into many blocks per rank.  Either way
+  /// checkpoints are per block and compute time is charged per block.
   int block_side = 0;
 
   /// Steps between dynamic load-balance decision points (0 = never
-  /// rebalance).  Requires block_side != 0.  At each boundary the
+  /// rebalance).  Requires block_side != 0: one block per rank leaves
+  /// nothing to move.  At each boundary the
   /// supervisor folds the per-block compute timers, and — when the
   /// measured per-rank imbalance exceeds rebalance_threshold — restarts
   /// the cohort under a rewritten block->rank owner map (block state moves
@@ -164,10 +169,10 @@ struct ProcessRunResult {
 
   /// The full accumulated telemetry behind rank_stats (parallel to it):
   /// counters, timers and histograms folded across every segment, respawn
-  /// round and killed-rank harvest.  This is the only post-run access to
-  /// the per-rank step.wall / comm.exchange histograms — the supervisor
-  /// consumes and deletes the on-disk rank_<r>.metrics.jsonl streams as
-  /// it folds them.
+  /// round and killed-rank harvest.  This is the only whole-run access to
+  /// the per-rank step.wall / comm.exchange histograms — the on-disk
+  /// rank_<r>.metrics.jsonl streams hold the last segment only (the
+  /// supervisor deletes each earlier segment's streams as it folds them).
   std::vector<telemetry::RankMetrics> rank_metrics;
 
   /// Path of the run_summary.json the supervisor wrote (empty when the
@@ -175,14 +180,15 @@ struct ProcessRunResult {
   /// per rank next to the paper-model predicted efficiency f.
   std::string summary_path;
 
-  /// Over-decomposition block count (0 for a monolithic run).
+  /// Block count of the run's tiling (J x K (x L) for a plain run).
   int blocks = 0;
 
   /// Every dynamic load-balance event the supervisor performed, in step
   /// order (also logged into run_summary.json).
   std::vector<telemetry::RebalanceRecord> rebalances;
 
-  /// Final block -> rank owner map (empty for a monolithic run).
+  /// Final block -> rank owner map (-1 for all-solid blocks; the
+  /// identity on active blocks for a plain run).
   std::vector<int> block_owner;
 
   /// The watchdog's audit trail: every hang/exit detection, escalation
@@ -196,16 +202,17 @@ struct ProcessRunResult {
   int forks = 0;
 };
 
-/// Forks one child per active subregion of the `grid` decomposition of
-/// `mask`, runs `steps` integration steps with boundary exchange over real
-/// TCP sockets, and writes "rank_<r>.dump" per subregion into `workdir`
-/// (which must exist).  If matching dump files are already present they
-/// are restored first, so repeated calls continue the run; stale files
-/// from a different geometry, decomposition or dimension are removed at
-/// start-of-run, so e.g. a 2D run's leftovers can never poison a 3D run
-/// sharing the directory.  Children are supervised per the options above;
-/// throws ProcessRunError when the restart budget is exhausted, with
-/// every child reaped and the port registry removed.
+/// Starts one child per rank of the `grid` decomposition of `mask` that
+/// owns an active block, runs `steps` integration steps with boundary
+/// exchange over real TCP sockets, and writes "block_<b>.dump" per active
+/// block into `workdir` (which must exist).  If matching dump files are
+/// already present they are restored first, so repeated calls continue
+/// the run; stale files from a different geometry, tiling or dimension
+/// are removed at start-of-run, so e.g. a 2D run's leftovers can never
+/// poison a 3D run sharing the directory.  Checkpoint epochs are
+/// "block_<b>.epoch_<e>.dump".  Children are supervised per the options
+/// above; throws ProcessRunError when the restart budget is exhausted,
+/// with every child reaped and the port registry removed.
 template <int Dim>
 ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                 const FluidParams& params, Method method,
@@ -217,27 +224,6 @@ extern template ProcessRunResult run_supervised<2>(
     const Mask2D&, const FluidParams&, Method, const GridShape&, int,
     const std::string&, const ProcessRunOptions&);
 extern template ProcessRunResult run_supervised<3>(
-    const Mask3D&, const FluidParams&, Method, const GridShape&, int,
-    const std::string&, const ProcessRunOptions&);
-
-/// The over-decomposed process runtime (run_supervised dispatches here
-/// when options.block_side != 0; callable directly).  Each rank process
-/// steps the blocks the owner map assigns to it, checkpoints are
-/// per-block ("block_<b>.dump" / "block_<b>.epoch_<e>.dump"), and — when
-/// options.rebalance_interval > 0 — the supervisor runs the job in
-/// segments, folding per-block compute timers at every boundary and
-/// restarting the cohort under a rewritten owner map whenever the
-/// measured imbalance warrants it.
-template <int Dim>
-ProcessRunResult run_supervised_blocked(
-    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& params,
-    Method method, const GridShape& grid, int steps,
-    const std::string& workdir, const ProcessRunOptions& options);
-
-extern template ProcessRunResult run_supervised_blocked<2>(
-    const Mask2D&, const FluidParams&, Method, const GridShape&, int,
-    const std::string&, const ProcessRunOptions&);
-extern template ProcessRunResult run_supervised_blocked<3>(
     const Mask3D&, const FluidParams&, Method, const GridShape&, int,
     const std::string&, const ProcessRunOptions&);
 

@@ -3,6 +3,7 @@
 #include "src/decomp/block_decomposition.hpp"
 
 #include <cstdlib>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,71 @@ TEST(BlockSideFromEnv, ReadsOverrideAndFallsBack) {
   ::setenv("SUBSONIC_BLOCKS", "bogus", 1);
   EXPECT_THROW(block_side_from_env(32), std::invalid_argument);
   ::unsetenv("SUBSONIC_BLOCKS");
+}
+
+TEST(ResolveBlockSide, ZeroIsOneBlockPerRankNegativeReadsTheEnv) {
+  ::setenv("SUBSONIC_BLOCKS", "16", 1);
+  EXPECT_EQ(resolve_block_side(0), 0);  // the env never overrides 0
+  EXPECT_EQ(resolve_block_side(24), 24);
+  EXPECT_EQ(resolve_block_side(-1), 16);
+  ::unsetenv("SUBSONIC_BLOCKS");
+  EXPECT_EQ(resolve_block_side(-1), kDefaultBlockSide);
+}
+
+/// Side 0 is the rank tiling itself: block b is rank b's subregion, owned
+/// by rank b, and all-solid subregions are inactive with owner -1.
+void expect_rank_tiling(const BlockDecomposition2D& bd,
+                        const Decomposition2D& ranks) {
+  ASSERT_EQ(bd.block_count(), ranks.rank_count());
+  EXPECT_EQ(bd.rank_count(), ranks.rank_count());
+  for (int b = 0; b < bd.block_count(); ++b) {
+    const Box2 got = bd.box(b), want = ranks.box(b);
+    EXPECT_EQ(got.x0, want.x0) << "block " << b;
+    EXPECT_EQ(got.x1, want.x1) << "block " << b;
+    EXPECT_EQ(got.y0, want.y0) << "block " << b;
+    EXPECT_EQ(got.y1, want.y1) << "block " << b;
+  }
+}
+
+TEST(BlockDecomposition2D, SideZeroIsTheRankTilingWithIdentityOwners) {
+  // 801 x 500 at 3 x 2: 267 columns and 250 rows per subregion.
+  Mask2D mask(Extents2{801, 500}, 1);
+  mask.fill_box({0, 0, 267, 250}, NodeType::kWall);  // rank 0 all solid
+  const BlockDecomposition2D bd(mask, 3, 2, 0, 1);
+  const Decomposition2D ranks(mask.extents(), 3, 2);
+  expect_rank_tiling(bd, ranks);
+  const std::vector<int> want_owner = {-1, 1, 2, 3, 4, 5};
+  EXPECT_EQ(bd.owner_map(), want_owner);
+  EXPECT_FALSE(bd.block_active(0));
+  EXPECT_EQ(bd.block_cells(0), 0);
+  EXPECT_EQ(bd.active_ranks(), active_ranks(ranks, mask));
+  for (int r = 1; r < 6; ++r) EXPECT_EQ(bd.blocks_of(r), std::vector<int>{r});
+
+  // 7 x 3 at 2 x 2: both axes split one node apart (4 + 3, 2 + 1).
+  const Mask2D small(Extents2{7, 3}, 1);
+  const BlockDecomposition2D odd(small, 2, 2, 0, 1);
+  expect_rank_tiling(odd, Decomposition2D(small.extents(), 2, 2));
+  EXPECT_EQ(odd.owner_map(), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(BlockDecomposition3D, SideZeroIsTheRankTilingWithIdentityOwners) {
+  Mask3D mask(Extents3{17, 9, 5}, 1);
+  const Decomposition3D ranks(mask.extents(), 2, 2, 1);
+  mask.fill_box({ranks.box(3).x0, ranks.box(3).y0, 0, 17, 9, 5},
+                NodeType::kWall);  // rank 3 all solid
+  const BlockDecomposition3D bd(mask, 2, 2, 1, 0, 1);
+  ASSERT_EQ(bd.block_count(), 4);
+  for (int b = 0; b < 4; ++b) {
+    const Box3 got = bd.box(b), want = ranks.box(b);
+    EXPECT_EQ(got.x0, want.x0) << "block " << b;
+    EXPECT_EQ(got.x1, want.x1) << "block " << b;
+    EXPECT_EQ(got.y0, want.y0) << "block " << b;
+    EXPECT_EQ(got.y1, want.y1) << "block " << b;
+    EXPECT_EQ(got.z0, want.z0) << "block " << b;
+    EXPECT_EQ(got.z1, want.z1) << "block " << b;
+  }
+  EXPECT_EQ(bd.owner_map(), (std::vector<int>{0, 1, 2, -1}));
+  EXPECT_EQ(bd.active_ranks(), active_ranks(ranks, mask));
 }
 
 TEST(BlockDecomposition2D, TilesTheDomainAndSeedsOwnersFromTheRankGrid) {

@@ -155,6 +155,32 @@ TEST(GatherFields, RoundTrips3DRunToExactSerialFields) {
       }
 }
 
+TEST(GatherFields, BlockSideZeroIsOneBlockPerRankWhateverTheEnvironment) {
+  // block_side 0 is the plain run's tiling in the gather exactly as in the
+  // run: SUBSONIC_BLOCKS only resolves a negative side, so it can never
+  // turn either into an over-decomposition.
+  const Mask2D mask = walled_box2d(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = make_workdir("side0");
+  ::setenv("SUBSONIC_BLOCKS", "8", 1);
+  const ProcessRunResult r = run_multiprocess2d(
+      mask, p, Method::kLatticeBoltzmann, 2, 2, 6, workdir);
+  const GatheredFields2D g = gather_fields2d_blocked(
+      mask, p, Method::kLatticeBoltzmann, 2, 2, 0, workdir);
+  ::unsetenv("SUBSONIC_BLOCKS");
+  EXPECT_EQ(r.blocks, 4);
+  EXPECT_EQ(g.step, 6);
+
+  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  serial.run(6);
+  for (int y = 0; y < 18; ++y)
+    for (int x = 0; x < 24; ++x) {
+      ASSERT_EQ(g.rho(x, y), serial.domain().rho()(x, y)) << x << "," << y;
+      ASSERT_EQ(g.vx(x, y), serial.domain().vx()(x, y)) << x << "," << y;
+    }
+}
+
 TEST(GatherFields, RefusesAnEmptyDirectoryForEpochReads) {
   const Mask2D mask = walled_box2d(24, 18, 1);
   FluidParams p;

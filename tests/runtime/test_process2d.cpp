@@ -3,18 +3,21 @@
 #include "src/runtime/process2d.hpp"
 
 #include <cerrno>
+#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/decomp/decomposition.hpp"
 #include "src/geometry/flue_pipe.hpp"
@@ -67,7 +70,7 @@ TEST(ProcessRuntime, ForkedProcessesMatchSerialBitwise) {
   double worst = 0;
   for (int rank = 0; rank < 4; ++rank) {
     Domain2D sub(mask, d.box(rank), p, Method::kLatticeBoltzmann, 1);
-    restore_domain(sub, workdir + "/rank_" + std::to_string(rank) +
+    restore_domain(sub, workdir + "/block_" + std::to_string(rank) +
                             ".dump");
     const Box2 b = d.box(rank);
     for (int y = 0; y < b.height(); ++y)
@@ -97,7 +100,7 @@ TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {
   serial.run(12);
   const Decomposition2D d(mask.extents(), 2, 1);
   Domain2D sub(mask, d.box(1), p, Method::kLatticeBoltzmann, 1);
-  restore_domain(sub, workdir + "/rank_1.dump");
+  restore_domain(sub, workdir + "/block_1.dump");
   const Box2 b = d.box(1);
   for (int y = 0; y < b.height(); ++y)
     for (int x = 0; x < b.width(); ++x)
@@ -131,7 +134,7 @@ void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
   const int ghost = required_ghost(method, p.filter_eps > 0.0);
   for (int rank : active_ranks(d, mask)) {
     Domain2D sub(mask, d.box(rank), p, method, ghost);
-    restore_domain(sub, workdir + "/rank_" + std::to_string(rank) +
+    restore_domain(sub, workdir + "/block_" + std::to_string(rank) +
                             ".dump");
     EXPECT_EQ(sub.step(), steps);
     const Box2 b = d.box(rank);
@@ -145,6 +148,38 @@ void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
             << "rank " << rank << " at " << x << "," << y;
       }
   }
+}
+
+TEST(ProcessRuntime, PlainRunLeavesOneBlockDumpPerActiveRank) {
+  // block_side 0: the paper's tiling is the block grid, block r is rank
+  // r's subregion, and the all-solid rank 0 owns nothing (-1).  A rank
+  // dump an older runtime left behind is removed, never restored.
+  const Mask2D mask = closed_box(30, 20, 1);
+  Mask2D solid = mask;
+  solid.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = make_workdir("blockdumps");
+  { std::ofstream(workdir + "/rank_1.dump") << "stale"; }
+  const ProcessRunResult r = run_multiprocess2d(
+      solid, p, Method::kLatticeBoltzmann, 3, 1, 5, workdir);
+  EXPECT_EQ(r.processes, 2);
+  EXPECT_EQ(r.blocks, 3);
+  EXPECT_EQ(r.block_owner, (std::vector<int>{-1, 1, 2}));
+
+  std::vector<std::string> dumps;
+  DIR* dir = ::opendir(workdir.c_str());
+  ASSERT_NE(dir, nullptr);
+  while (const dirent* e = ::readdir(dir)) {
+    const std::string name = e->d_name;
+    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".dump") == 0)
+      dumps.push_back(name);
+  }
+  ::closedir(dir);
+  std::sort(dumps.begin(), dumps.end());
+  EXPECT_EQ(dumps, (std::vector<std::string>{"block_1.dump", "block_2.dump"}));
+  for (const std::string& name : dumps)
+    EXPECT_EQ(inspect_checkpoint(workdir + "/" + name).step, 5) << name;
 }
 
 TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
@@ -542,9 +577,9 @@ TEST(ProcessSupervisor, CommitsEpochsAndCollectsOldOnes) {
   // The newest epoch's dumps exist and verify; older ones were collected.
   for (int rank = 0; rank < 2; ++rank) {
     const CheckpointInfo info = inspect_checkpoint(
-        workdir + "/rank_" + std::to_string(rank) + ".epoch_3.dump");
+        workdir + "/block_" + std::to_string(rank) + ".epoch_3.dump");
     EXPECT_EQ(info.step, 8);
-    std::ifstream old(workdir + "/rank_" + std::to_string(rank) +
+    std::ifstream old(workdir + "/block_" + std::to_string(rank) +
                       ".epoch_2.dump");
     EXPECT_FALSE(old.good());
   }
