@@ -9,8 +9,10 @@
 // per-step wall time drops back toward the zero-latency figure.
 //
 // Timings come from the driver's telemetry registry, which also supplies
-// the per-phase breakdown ("compute.lb_collide_stream.band",
-// "comm.complete_recvs", ...) written into the JSON — the overlap story
+// the per-phase breakdown written into the JSON: each rank's compute time
+// under its block's "compute.block_<id>" timer (one block per rank here,
+// so block id = rank) and its comm time under "comm.exchange" (legacy) or
+// "comm.post_sends" / "comm.complete_recvs" (overlap) — the overlap story
 // is visible phase by phase, not just in the totals.
 //
 // Results are printed as a table and written as JSON (argv[1], default
@@ -56,7 +58,8 @@ Result run_case(const Config& cfg, Scheduling sched, int side, int steps) {
   InMemoryOptions opt;
   opt.latency_s = cfg.latency_s;
   auto transport = std::make_shared<InMemoryTransport>(4, opt);
-  ParallelDriver2D drv(mask, p, cfg.method, 2, 2, transport, sched);
+  BlockedDriver<2> drv(mask, p, cfg.method, GridShape{2, 2},
+                       /*block_side=*/0, transport, sched);
 
   drv.run(2);  // warm-up: first-touch pages, thread creation
   const auto t0 = std::chrono::steady_clock::now();

@@ -13,10 +13,14 @@
 //
 // Here stages are in-process (our "workstations" are threads), but every
 // byte of state flows through real dump files, and stage 4 exercises the
-// appendix-B synchronization before the checkpoint.
+// appendix-B synchronization before the checkpoint.  The dump files live
+// in a fresh temporary directory that is removed on exit.
+#include <stdlib.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
 
 #include "src/core/subsonic.hpp"
@@ -26,8 +30,20 @@ int main() {
   using namespace subsonic;
   namespace fs = std::filesystem;
 
-  const fs::path workdir = fs::temp_directory_path() / "subsonic_workflow";
-  fs::create_directories(workdir);
+  std::string dir_template =
+      (fs::temp_directory_path() / "subsonic_workflow.XXXXXX").string();
+  if (!::mkdtemp(dir_template.data())) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const fs::path workdir = dir_template;
+  struct RemoveOnExit {
+    fs::path dir;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  } cleanup{workdir};
 
   // --- 1. initialization: the serial problem definition ----------------
   const Geometry2D geo =
@@ -42,17 +58,18 @@ int main() {
 
   // --- 2. decomposition: write one dump file per subregion -------------
   {
-    ParallelDriver2D decomposer(geo.mask, params, Method::kLatticeBoltzmann,
-                                4, 3);
-    decomposer.save_checkpoint(workdir.string());
+    BlockedDriver<2> decomposer(geo.mask, params, Method::kLatticeBoltzmann,
+                                GridShape{4, 3}, /*block_side=*/0);
+    decomposer.save_blocks(workdir.string());
     std::printf("[decompose] (4x3) = %d subregions -> %d dump files in %s\n",
-                decomposer.decomposition().rank_count(),
+                decomposer.blocks().block_count(),
                 decomposer.active_count(), workdir.c_str());
   }
 
   // --- 3. job submit: fresh "workstations" load the dumps and run ------
-  ParallelDriver2D sim(geo.mask, params, Method::kLatticeBoltzmann, 4, 3);
-  sim.restore_checkpoint(workdir.string());
+  BlockedDriver<2> sim(geo.mask, params, Method::kLatticeBoltzmann,
+                       GridShape{4, 3}, /*block_side=*/0);
+  sim.restore_blocks(workdir.string());
   std::printf("[submit]    %d parallel subprocesses started\n",
               sim.active_count());
 
@@ -67,15 +84,14 @@ int main() {
     });
     const int ran = sim.run_until_sync(1000000, checkpoint_request, sync);
     monitor.join();
-    sim.save_checkpoint(workdir.string());
+    sim.save_blocks(workdir.string());
     std::printf("[monitor]   burst %d: synchronized after %d steps at step "
                 "%ld, state saved\n",
-                burst, ran, sim.subdomain(0).step());
+                burst, ran, sim.step());
   }
 
   const auto w = vorticity_of_gathered(sim);
   std::printf("[result]    step %ld, max |vorticity| = %.4g\n",
-              sim.subdomain(0).step(), max_abs(w));
-  std::printf("dump files kept in %s\n", workdir.c_str());
+              sim.step(), max_abs(w));
   return 0;
 }

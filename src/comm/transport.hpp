@@ -81,7 +81,8 @@ constexpr MessageTag make_block_tag(long step, int phase, int dir,
 /// Tag of the coalesced frame one rank sends another in exchange phase
 /// `phase` of `step`.  Its block field is the reserved kFrameBlockField,
 /// so a frame tag never equals a plain or block tag, even on a transport
-/// shared with the monolithic drivers (whose 2D sync epochs start at 0).
+/// that also carries plain point-to-point traffic (the 2D sync epochs
+/// start at step 0).
 constexpr MessageTag make_frame_tag(long step, int phase) {
   return (kFrameBlockField << kBlockFieldShift) | make_tag(step, phase, 0);
 }

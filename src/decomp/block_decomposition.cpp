@@ -75,7 +75,8 @@ std::vector<int> active_ranks_impl(const Owner& owner, int rank_count) {
 }  // namespace
 
 BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
-                                           int side, int min_side)
+                                           int side, int min_side,
+                                           PeriodicAxes periodic)
     : blocks_(side == 0 ? Decomposition2D(mask.extents(), jx, jy)
                         : Decomposition2D(mask.extents(),
                                           block_count_for_axis(
@@ -85,7 +86,7 @@ BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
                                               mask.extents().ny, side,
                                               min_side))),
       ranks_(mask.extents(), jx, jy) {
-  const auto active = subsonic::active_ranks(blocks_, mask);
+  const auto active = subsonic::active_ranks(blocks_, mask, periodic);
   active_.assign(blocks_.rank_count(), false);
   for (int b : active) active_[b] = true;
   owner_.assign(blocks_.rank_count(), -1);
@@ -119,7 +120,8 @@ std::vector<int> BlockDecomposition2D::active_ranks() const {
 }
 
 BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
-                                           int jz, int side, int min_side)
+                                           int jz, int side, int min_side,
+                                           PeriodicAxes periodic)
     : blocks_(side == 0
                   ? Decomposition3D(mask.extents(), jx, jy, jz)
                   : Decomposition3D(
@@ -129,7 +131,7 @@ BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
                         block_count_for_axis(mask.extents().nz, side,
                                              min_side))),
       ranks_(mask.extents(), jx, jy, jz) {
-  const auto active = subsonic::active_ranks(blocks_, mask);
+  const auto active = subsonic::active_ranks(blocks_, mask, periodic);
   active_.assign(blocks_.rank_count(), false);
   for (int b : active) active_[b] = true;
   owner_.assign(blocks_.rank_count(), -1);

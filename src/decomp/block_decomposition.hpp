@@ -46,13 +46,15 @@ int block_count_for_axis(int n, int side, int min_side);
 /// rank decomposition (each block starts on the rank whose subregion
 /// contains its center).  Side 0 is the coarsest tiling: the block grid
 /// *is* the rank decomposition and block b starts on rank b.  All-solid
-/// blocks get owner -1 and are never computed or exchanged with.
+/// blocks whose wall layer touches no fluid (active_ranks' rule, read per
+/// block) get owner -1 and are never computed or exchanged with.
 class BlockDecomposition2D {
  public:
   /// `side` is the target block side (0: one block per rank); `min_side`
-  /// the smallest legal block side (pass the ghost width).
+  /// the smallest legal block side (pass the ghost width); `periodic` the
+  /// run's wrapping axes, which decide what a block's wall layer touches.
   BlockDecomposition2D(const Mask2D& mask, int jx, int jy, int side,
-                       int min_side);
+                       int min_side, PeriodicAxes periodic = {});
 
   const Decomposition2D& blocks() const { return blocks_; }
   const Decomposition2D& ranks() const { return ranks_; }
@@ -95,7 +97,7 @@ class BlockDecomposition2D {
 class BlockDecomposition3D {
  public:
   BlockDecomposition3D(const Mask3D& mask, int jx, int jy, int jz, int side,
-                       int min_side);
+                       int min_side, PeriodicAxes periodic = {});
 
   const Decomposition3D& blocks() const { return blocks_; }
   const Decomposition3D& ranks() const { return ranks_; }

@@ -188,19 +188,61 @@ int Decomposition3D::max_unsync(StencilShape shape) const {
 
 // ------------------------------------------------------------- active ----
 
-std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask) {
+namespace {
+
+/// Coordinate `c` of an axis of `n` nodes inside the domain: wrapped when
+/// the axis is periodic, -1 when it falls off a closed edge.
+int wrap_or_off(int c, int n, bool periodic) {
+  if (c >= 0 && c < n) return c;
+  if (!periodic) return -1;
+  return (c + n) % n;
+}
+
+}  // namespace
+
+std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask,
+                              PeriodicAxes periodic) {
   SUBSONIC_REQUIRE(mask.extents() == d.global());
+  const Extents2 e = d.global();
+  auto touches_fluid = [&](const Box2& b) {
+    for (int y = b.y0 - 1; y <= b.y1; ++y) {
+      const int gy = wrap_or_off(y, e.ny, periodic.y);
+      if (gy < 0) continue;
+      for (int x = b.x0 - 1; x <= b.x1; ++x) {
+        const int gx = wrap_or_off(x, e.nx, periodic.x);
+        if (gx >= 0 && mask(gx, gy) != NodeType::kWall) return true;
+      }
+    }
+    return false;
+  };
   std::vector<int> out;
   for (int r = 0; r < d.rank_count(); ++r)
-    if (!mask.all_solid(d.box(r))) out.push_back(r);
+    if (touches_fluid(d.box(r))) out.push_back(r);
   return out;
 }
 
-std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask) {
+std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask,
+                              PeriodicAxes periodic) {
   SUBSONIC_REQUIRE(mask.extents() == d.global());
+  const Extents3 e = d.global();
+  auto touches_fluid = [&](const Box3& b) {
+    for (int z = b.z0 - 1; z <= b.z1; ++z) {
+      const int gz = wrap_or_off(z, e.nz, periodic.z);
+      if (gz < 0) continue;
+      for (int y = b.y0 - 1; y <= b.y1; ++y) {
+        const int gy = wrap_or_off(y, e.ny, periodic.y);
+        if (gy < 0) continue;
+        for (int x = b.x0 - 1; x <= b.x1; ++x) {
+          const int gx = wrap_or_off(x, e.nx, periodic.x);
+          if (gx >= 0 && mask(gx, gy, gz) != NodeType::kWall) return true;
+        }
+      }
+    }
+    return false;
+  };
   std::vector<int> out;
   for (int r = 0; r < d.rank_count(); ++r)
-    if (!mask.all_solid(d.box(r))) out.push_back(r);
+    if (touches_fluid(d.box(r))) out.push_back(r);
   return out;
 }
 

@@ -119,9 +119,22 @@ class Decomposition3D {
 /// gets [start(i), start(i+1)).  Larger parts come first.
 int even_split_start(int n, int parts, int i);
 
-/// Ranks whose subregions contain at least one non-wall node.  Entirely
-/// solid subregions need no process (paper Figure 2: 15 of 24 active).
-std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask);
-std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask);
+/// The axes a run wraps around (the solver's periodic_x/y/z flags).
+struct PeriodicAxes {
+  bool x = false;
+  bool y = false;
+  bool z = false;
+};
+
+/// Ranks whose subregion, grown by one node (clipped to the domain,
+/// wrapped around periodic axes), contains at least one non-wall node.
+/// Entirely solid subregions need no process (paper Figure 2: 15 of 24
+/// active) — unless their wall layer touches fluid: those wall nodes
+/// bounce back what the fluid emits, so the neighbour's ghost copy of
+/// them must keep evolving exactly as in the serial run.
+std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask,
+                              PeriodicAxes periodic = {});
+std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask,
+                              PeriodicAxes periodic = {});
 
 }  // namespace subsonic

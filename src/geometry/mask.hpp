@@ -41,7 +41,7 @@ class Mask2D {
   }
 
   /// True when every node of `box` (which must lie inside the interior or
-  /// its padding) is solid wall — used to drop inactive subregions (Fig. 2).
+  /// its padding) is solid wall.
   bool all_solid(Box2 box) const {
     for (int y = box.y0; y < box.y1; ++y)
       for (int x = box.x0; x < box.x1; ++x)

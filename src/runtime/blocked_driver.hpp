@@ -1,12 +1,19 @@
-// Threaded driver over an over-decomposed grid: one worker thread per rank
-// owning at least one block, each running a BlockSet over the shared
-// transport.  This is the in-process twin of ParallelDriver lifted to the
-// block runtime — equivalence tests pin blocked runs bitwise to monolithic
-// ones, and the save_blocks/restore_blocks pair (per-*block* dump files)
-// is what makes a mid-run owner-map rewrite a pure re-assignment: save,
-// rebuild the driver with the edited map, restore, continue.
+// The threaded driver (paper section 4): one worker thread per rank owning
+// at least one block, each running a BlockSet over the shared transport.
+// Every worker executes the serial driver's per-step schedule with the
+// exchange phases realized as transport messages, and synchronization is
+// indirect, exactly as in the paper: a worker blocks only when it has not
+// yet received the boundary data its next compute phase needs, so
+// neighbours drift apart by at most the stencil distance (appendix A).
+// Block side 0 is the paper's own tiling, one subregion per rank; a
+// positive side over-decomposes.  Equivalence tests pin every tiling
+// bitwise to the serial run, and the save_blocks/restore_blocks pair
+// (per-*block* dump files) is what makes migration and a mid-run owner-map
+// rewrite a pure re-assignment: save, rebuild the driver, restore,
+// continue.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +21,7 @@
 #include "src/comm/transport.hpp"
 #include "src/runtime/block_set.hpp"
 #include "src/runtime/domain_traits.hpp"
+#include "src/runtime/sync_file.hpp"
 #include "src/telemetry/telemetry.hpp"
 
 namespace subsonic {
@@ -30,7 +38,13 @@ class BlockedDriver {
   /// Over-decomposes `mask` into ~`block_side`-sided blocks seeded onto
   /// the `grid` rank layout; `block_side` reads as in resolve_block_side
   /// (0: one block per rank, < 0: SUBSONIC_BLOCKS or kDefaultBlockSide).
-  /// The other parameters mirror ParallelDriver.
+  /// If `transport` is null an InMemoryTransport is created internally.
+  /// `sched` picks the per-step phase ordering: kOverlap computes the
+  /// boundary band first, posts the sends, computes the interior while
+  /// the messages are in flight, and only then blocks on the receives;
+  /// kLegacy is compute-everything-then-exchange.  Both orderings produce
+  /// bitwise identical fields.  `threads` is the *intra-block* worker
+  /// count (0 = SUBSONIC_THREADS env or 1), bitwise neutral as well.
   BlockedDriver(const Mask& mask, const FluidParams& params, Method method,
                 const GridShape& grid, int block_side,
                 std::shared_ptr<Transport> transport = nullptr,
@@ -45,6 +59,16 @@ class BlockedDriver {
 
   /// Runs `n` integration steps on every rank, one thread each.
   void run(int n);
+
+  /// Runs up to `max_steps` steps, stopping early — with every block at
+  /// the *same* step — once `request` becomes true (appendix B: each rank
+  /// announces its current step in the shared sync file; the agreed stop
+  /// is max + 1, widened by the un-synchronization bound because our
+  /// workers notice the request at step boundaries rather than in a
+  /// signal handler).  Returns the number of steps executed.  After it
+  /// returns, migration is save_blocks + restore_blocks on a new driver.
+  int run_until_sync(int max_steps, const std::atomic<bool>& request,
+                     SyncFile& sync_file);
 
   const BlockDecomp& blocks() const { return bd_; }
   int active_count() const { return static_cast<int>(sets_.size()); }
@@ -81,8 +105,8 @@ class BlockedDriver {
   /// Refreshes every ghost region (all fields, populations included)
   /// without touching interior state.
   void sync_ghosts();
-  /// Runs `fn(set)` concurrently, one thread per rank, rethrowing the
-  /// first worker exception.
+  /// Runs `fn(set, send, recv)` concurrently, one thread per rank, with
+  /// the rank's transport hooks; rethrows the first worker exception.
   template <typename Fn>
   void for_each_set(Fn&& fn);
 

@@ -4,8 +4,8 @@
 // independent; only the concrete grid types are not.  DomainTraits<Dim>
 // collects exactly those concrete pieces (domain/mask/decomposition/link
 // types, pack/unpack, schedule, periodic wraps, quiescent defaults), so
-// the serial, threaded-parallel and supervised-process drivers can each be
-// written once as a template and instantiated for 2D and 3D.
+// the serial, threaded and supervised-process drivers can each be written
+// once as a template and instantiated for 2D and 3D.
 #pragma once
 
 #include <span>
@@ -51,18 +51,17 @@ struct DomainTraits<2> {
   using LinkPlan = LinkPlan2D;
   using Field = PaddedField2D<double>;
 
-  static Decomp make_decomposition(const Mask& mask, const GridShape& grid) {
-    SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
-    return Decomp(mask.extents(), grid.jx, grid.jy);
-  }
-
-  /// Over-decomposition of the same grid into ~side^2 blocks seeded onto
-  /// the (jx x jy) rank grid; `ghost` bounds the smallest legal block.
+  /// Over-decomposition of the grid into ~side^2 blocks seeded onto the
+  /// (jx x jy) rank grid (side 0: the rank grid itself); `ghost` bounds
+  /// the smallest legal block, `p`'s periodic axes decide which all-wall
+  /// blocks touch fluid.
   static BlockDecomp make_block_decomposition(const Mask& mask,
                                               const GridShape& grid, int side,
-                                              int ghost) {
+                                              int ghost,
+                                              const FluidParams& p) {
     SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
-    return BlockDecomp(mask, grid.jx, grid.jy, side, ghost);
+    return BlockDecomp(mask, grid.jx, grid.jy, side, ghost,
+                       PeriodicAxes{p.periodic_x, p.periodic_y, false});
   }
 
   /// Link plans of one *block* over the fine block grid — the generic
@@ -77,13 +76,6 @@ struct DomainTraits<2> {
 
   static std::vector<Phase> make_schedule(Method method) {
     return make_schedule2d(method);
-  }
-
-  static std::vector<LinkPlan> make_links(const Decomp& d, int rank,
-                                          int ghost, const FluidParams& p,
-                                          const std::vector<bool>& active) {
-    return make_link_plans2d(d, rank, ghost, p.periodic_x, p.periodic_y,
-                             active);
   }
 
   static std::vector<double> pack(const Domain& dom,
@@ -113,8 +105,8 @@ struct DomainTraits<2> {
 
   static void set_equilibrium(Domain& d) { lbm2d::set_equilibrium_both(d); }
 
-  /// Value an inactive (all-solid) subregion contributes to a gather —
-  /// what the serial boundary pass holds at wall nodes.
+  /// Value an inactive (all-solid) block contributes to a gather — what
+  /// the serial boundary pass holds at wall nodes.
   static double quiescent(FieldId id, const FluidParams& p) {
     if (id == FieldId::kRho) return p.rho0;
     if (is_population(id))
@@ -183,14 +175,12 @@ struct DomainTraits<3> {
   using LinkPlan = LinkPlan3D;
   using Field = PaddedField3D<double>;
 
-  static Decomp make_decomposition(const Mask& mask, const GridShape& grid) {
-    return Decomp(mask.extents(), grid.jx, grid.jy, grid.jz);
-  }
-
   static BlockDecomp make_block_decomposition(const Mask& mask,
                                               const GridShape& grid, int side,
-                                              int ghost) {
-    return BlockDecomp(mask, grid.jx, grid.jy, grid.jz, side, ghost);
+                                              int ghost,
+                                              const FluidParams& p) {
+    return BlockDecomp(mask, grid.jx, grid.jy, grid.jz, side, ghost,
+                       PeriodicAxes{p.periodic_x, p.periodic_y, p.periodic_z});
   }
 
   static std::vector<LinkPlan> make_block_links(const BlockDecomp& bd,
@@ -202,13 +192,6 @@ struct DomainTraits<3> {
 
   static std::vector<Phase> make_schedule(Method method) {
     return make_schedule3d(method);
-  }
-
-  static std::vector<LinkPlan> make_links(const Decomp& d, int rank,
-                                          int ghost, const FluidParams& p,
-                                          const std::vector<bool>& active) {
-    return make_link_plans3d(d, rank, ghost, p.periodic_x, p.periodic_y,
-                             p.periodic_z, active);
   }
 
   static std::vector<double> pack(const Domain& dom,

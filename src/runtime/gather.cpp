@@ -25,7 +25,7 @@ std::pair<long, std::vector<typename DomainTraits<Dim>::Field>> gather_blocks(
   params.validate();
   const int ghost = required_ghost(method, params.filter_eps > 0.0);
   const typename Traits::BlockDecomp bd = Traits::make_block_decomposition(
-      mask, grid, resolve_block_side(block_side), ghost);
+      mask, grid, resolve_block_side(block_side), ghost, params);
 
   if (epoch >= 0) {
     // Only a MANIFEST-committed epoch is guaranteed to have a durable,

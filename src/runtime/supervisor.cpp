@@ -157,7 +157,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   const int ghost = required_ghost(method, params.filter_eps > 0.0);
   const int side = resolve_block_side(options.block_side);
   typename Traits::BlockDecomp bd =
-      Traits::make_block_decomposition(mask, grid, side, ghost);
+      Traits::make_block_decomposition(mask, grid, side, ghost, params);
 
   const FaultPlan faults = options.faults.empty()
                                ? FaultPlan::from_env()

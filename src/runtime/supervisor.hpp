@@ -47,7 +47,7 @@ namespace subsonic {
 constexpr int kStatusPortEphemeral = -2;
 
 struct ProcessRunOptions {
-  /// Per-step ordering, exactly as in the threaded drivers; the overlap
+  /// Per-step ordering, exactly as in the threaded driver; the overlap
   /// schedule posts each boundary band as soon as it is computed.
   Scheduling sched = Scheduling::kOverlap;
 

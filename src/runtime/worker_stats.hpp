@@ -1,6 +1,5 @@
-// Per-worker timing, shared by the threaded drivers (which accumulate it
-// live) and the process runtime (which reconstructs it from the metrics
-// JSONL each rank writes).
+// Per-worker timing of the process runtime, reconstructed from the metrics
+// JSONL each rank writes.
 #pragma once
 
 namespace subsonic {

@@ -21,7 +21,8 @@
 
 namespace subsonic {
 
-/// Per-step phase ordering of the parallel drivers.
+/// Per-step phase ordering of a BlockSet step (the threaded driver and
+/// the process runtime).
 enum class Scheduling {
   kLegacy,   ///< compute whole subregion, then send, then block on recv
   kOverlap,  ///< band, post sends, interior, then complete recvs

@@ -22,7 +22,7 @@ namespace subsonic {
 namespace telemetry {
 
 /// Everything one rank reported, in aggregate form.  Built either from a
-/// live MetricsRegistry (threaded drivers) or parsed back from the
+/// live MetricsRegistry (the threaded driver) or parsed back from the
 /// rank_<r>.metrics.jsonl file the rank wrote (process runtime).
 struct RankMetrics {
   struct GaugeValue {

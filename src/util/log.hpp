@@ -5,7 +5,7 @@
 // Each line carries a monotonic timestamp (seconds since the process's
 // first log touch) and, when a rank has installed one via
 // set_log_context, a "[rank r step s]" prefix — so interleaved output
-// from the threaded drivers or a supervisor's rank-tagged children reads
+// from the threaded driver or a supervisor's rank-tagged children reads
 // back as a timeline.  The initial threshold honours the SUBSONIC_LOG
 // environment variable (debug|info|warn|error|off); default warn.
 #pragma once

@@ -163,8 +163,8 @@ TEST(Frame, EveryTruncationOfAValidFrameIsRejected) {
 // Frame tags must stay disjoint from plain (make_tag) and block
 // (make_block_tag) tags over every step, phase and direction the runtimes
 // use — including the sync phase 1023 and the 2D sync epochs starting at
-// step 0, which the threaded ParallelDriver shares with BlockedDriver on
-// one transport — and distinct from each other.
+// step 0, which every BlockedDriver on one transport shares with plain
+// point-to-point traffic — and distinct from each other.
 TEST(FrameTag, DisjointFromPlainAndBlockTags) {
   const long steps[] = {0, 1, 2, 1023, 1L << 20, (1L << 20) + 7,
                         (1L << 24) - 1};

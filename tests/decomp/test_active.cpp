@@ -16,16 +16,34 @@ TEST(ActiveRanks, AllActiveOnOpenDomain) {
 TEST(ActiveRanks, SolidColumnIsDropped) {
   const Decomposition2D d(Extents2{60, 60}, 3, 3);
   Mask2D mask(Extents2{60, 60}, 1);
-  mask.fill_box({0, 0, 20, 60}, NodeType::kWall);  // first column solid
+  // First column solid, one node past its edge: its wall touches no fluid.
+  mask.fill_box({0, 0, 21, 60}, NodeType::kWall);
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 6u);
   for (int r : active) EXPECT_NE(d.coord_x(r), 0);
 }
 
-TEST(ActiveRanks, InletCountsAsActive) {
+TEST(ActiveRanks, SolidColumnTouchingFluidStaysActive) {
+  // All wall, but its last layer borders the fluid of the next column:
+  // those wall nodes bounce back what the fluid emits, so the subregion
+  // keeps its process.
   const Decomposition2D d(Extents2{60, 60}, 3, 3);
   Mask2D mask(Extents2{60, 60}, 1);
   mask.fill_box({0, 0, 20, 60}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 9u);
+  // Across a periodic wrap the first column borders the last one.
+  mask.fill_box({0, 0, 21, 60}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 6u);
+  EXPECT_EQ(active_ranks(d, mask, PeriodicAxes{true, false, false}).size(),
+            9u);
+  EXPECT_EQ(active_ranks(d, mask, PeriodicAxes{false, true, false}).size(),
+            6u);
+}
+
+TEST(ActiveRanks, InletCountsAsActive) {
+  const Decomposition2D d(Extents2{60, 60}, 3, 3);
+  Mask2D mask(Extents2{60, 60}, 1);
+  mask.fill_box({0, 0, 21, 60}, NodeType::kWall);
   mask.set(5, 30, NodeType::kInlet);  // one opening in the solid block
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 7u);
@@ -46,10 +64,21 @@ TEST(ActiveRanks, FluePipeChannelVariantDropsSubregions) {
 TEST(ActiveRanks3D, SolidSlabIsDropped) {
   const Decomposition3D d(Extents3{20, 20, 20}, 2, 2, 2);
   Mask3D mask(Extents3{20, 20, 20}, 1);
-  mask.fill_box({0, 0, 0, 20, 20, 10}, NodeType::kWall);
+  // The lower slab solid, one node past its edge.
+  mask.fill_box({0, 0, 0, 20, 20, 11}, NodeType::kWall);
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 4u);
   for (int r : active) EXPECT_EQ(d.coord_z(r), 1);
+  // Wrapped in z the lower slab borders the top layer's fluid.
+  EXPECT_EQ(active_ranks(d, mask, PeriodicAxes{false, false, true}).size(),
+            8u);
+}
+
+TEST(ActiveRanks3D, SolidSlabTouchingFluidStaysActive) {
+  const Decomposition3D d(Extents3{20, 20, 20}, 2, 2, 2);
+  Mask3D mask(Extents3{20, 20, 20}, 1);
+  mask.fill_box({0, 0, 0, 20, 20, 10}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 8u);
 }
 
 }  // namespace

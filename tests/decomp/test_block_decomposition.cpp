@@ -62,7 +62,8 @@ void expect_rank_tiling(const BlockDecomposition2D& bd,
 TEST(BlockDecomposition2D, SideZeroIsTheRankTilingWithIdentityOwners) {
   // 801 x 500 at 3 x 2: 267 columns and 250 rows per subregion.
   Mask2D mask(Extents2{801, 500}, 1);
-  mask.fill_box({0, 0, 267, 250}, NodeType::kWall);  // rank 0 all solid
+  // Rank 0 all solid, and one node past it so its wall touches no fluid.
+  mask.fill_box({0, 0, 268, 251}, NodeType::kWall);
   const BlockDecomposition2D bd(mask, 3, 2, 0, 1);
   const Decomposition2D ranks(mask.extents(), 3, 2);
   expect_rank_tiling(bd, ranks);
@@ -83,8 +84,9 @@ TEST(BlockDecomposition2D, SideZeroIsTheRankTilingWithIdentityOwners) {
 TEST(BlockDecomposition3D, SideZeroIsTheRankTilingWithIdentityOwners) {
   Mask3D mask(Extents3{17, 9, 5}, 1);
   const Decomposition3D ranks(mask.extents(), 2, 2, 1);
-  mask.fill_box({ranks.box(3).x0, ranks.box(3).y0, 0, 17, 9, 5},
-                NodeType::kWall);  // rank 3 all solid
+  // Rank 3 all solid, and one node past it so its wall touches no fluid.
+  mask.fill_box({ranks.box(3).x0 - 1, ranks.box(3).y0 - 1, 0, 17, 9, 5},
+                NodeType::kWall);
   const BlockDecomposition3D bd(mask, 2, 2, 1, 0, 1);
   ASSERT_EQ(bd.block_count(), 4);
   for (int b = 0; b < 4; ++b) {
@@ -134,7 +136,8 @@ TEST(BlockDecomposition2D, TilesTheDomainAndSeedsOwnersFromTheRankGrid) {
 
 TEST(BlockDecomposition2D, AllSolidBlocksAreInactive) {
   Mask2D mask(Extents2{64, 32}, 1);
-  mask.fill_box({0, 0, 32, 32}, NodeType::kWall);  // left half solid
+  // Left half solid, and one node past it so the wall touches no fluid.
+  mask.fill_box({0, 0, 33, 32}, NodeType::kWall);
   BlockDecomposition2D bd(mask, 2, 1, 16, 1);
   int active = 0;
   for (int b = 0; b < bd.block_count(); ++b) {

@@ -10,7 +10,7 @@
 #include <cmath>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/serial3d.hpp"
 #include "src/solver/simd.hpp"
@@ -78,9 +78,9 @@ TEST(SimdEquivalence, SerialRun2DIsBitwise) {
   }
 }
 
-// Threaded-parallel 2D driver: the overlap schedule runs the band and
-// interior passes (two-slab sweeps) instead of kFull, and the ghost
-// exchange consumes kernel output every step.
+// Threaded 2D driver, one block per rank: the overlap schedule runs the
+// band and interior passes (two-slab sweeps) instead of kFull, and the
+// ghost exchange consumes kernel output every step.
 TEST(SimdEquivalence, ParallelBandInteriorRun2DIsBitwise) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 in this build/CPU";
   const Geometry2D g =
@@ -88,12 +88,14 @@ TEST(SimdEquivalence, ParallelBandInteriorRun2DIsBitwise) {
   FluidParams p = lb_params(false);
   p.inlet_vx = g.inlet_speed;
 
-  ParallelDriver2D scalar(g.mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> scalar(g.mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                          /*block_side=*/0);
   {
     ScopedSimd pin(SimdLevel::kScalar);
     scalar.run(20);
   }
-  ParallelDriver2D vec(g.mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> vec(g.mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                       /*block_side=*/0);
   {
     ScopedSimd pin(SimdLevel::kAvx2);
     vec.run(20);

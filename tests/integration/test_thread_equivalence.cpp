@@ -8,7 +8,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/parallel2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/serial3d.hpp"
 
@@ -64,10 +64,10 @@ TEST_P(ThreadEquivalence, NestedUnderSubregionParallelism) {
       build_flue_pipe(Extents2{120, 80}, FluePipeVariant::kChannel, 3);
   const FluidParams p = pipe_params(method, g);
 
-  ParallelDriver2D one(g.mask, p, method, 3, 2, nullptr,
-                       Scheduling::kOverlap, /*threads=*/1);
-  ParallelDriver2D many(g.mask, p, method, 3, 2, nullptr,
-                        Scheduling::kOverlap, /*threads=*/4);
+  BlockedDriver<2> one(g.mask, p, method, GridShape{3, 2}, /*block_side=*/0,
+                       nullptr, Scheduling::kOverlap, /*threads=*/1);
+  BlockedDriver<2> many(g.mask, p, method, GridShape{3, 2}, /*block_side=*/0,
+                        nullptr, Scheduling::kOverlap, /*threads=*/4);
   one.run(25);
   many.run(25);
 

@@ -1,12 +1,16 @@
 #include "src/io/checkpoint.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <string>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/serial3d.hpp"
 
@@ -86,12 +90,20 @@ TEST(Checkpoint, ParallelCheckpointRestartIsBitwise) {
   p.filter_eps = 0.1;
   p.inlet_vx = g.inlet_speed;
 
-  ParallelDriver2D a(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
-  a.run(10);
-  a.save_checkpoint(tmp_dir());
+  // A directory of its own: block_<b>.dump names are shared with other
+  // tests that may run concurrently.
+  const std::string dir = tmp_dir() + "/ckpt_parallel_" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
 
-  ParallelDriver2D b(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
-  b.restore_checkpoint(tmp_dir());
+  BlockedDriver<2> a(g.mask, p, Method::kLatticeBoltzmann, GridShape{3, 2},
+                     /*block_side=*/0);
+  a.run(10);
+  a.save_blocks(dir);
+
+  BlockedDriver<2> b(g.mask, p, Method::kLatticeBoltzmann, GridShape{3, 2},
+                     /*block_side=*/0);
+  b.restore_blocks(dir);
   a.run(10);
   b.run(10);
 

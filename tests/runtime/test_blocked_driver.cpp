@@ -1,6 +1,6 @@
-// The over-decomposed in-process driver: many small blocks per rank, ghost
-// exchange at block granularity — and still bit-identical to the
-// monolithic runs, under any owner map.
+// The threaded driver: one block per rank (the paper's tiling) or many
+// small blocks per rank, ghost exchange at block granularity — and still
+// bit-identical to the serial run, under any owner map.
 #include "src/runtime/blocked_driver.hpp"
 
 #include <sys/stat.h>
@@ -175,6 +175,32 @@ TEST(BlockedDriver, OwnerMapRewriteMidRunIsBitwise) {
       ASSERT_EQ(a(x, y), b(x, y)) << x << "," << y;
       ASSERT_EQ(ar(x, y), br(x, y)) << x << "," << y;
     }
+}
+
+// A subregion or block that is all wall but borders fluid keeps running:
+// its wall layer bounces back what the fluid emits, so the neighbour's
+// ghost copy of that layer must evolve exactly as in the serial run.  The
+// body force makes a stale wall layer show in every field.
+TEST(BlockedDriver, SolidSubregionTouchingFluidMatchesSerialBitwise) {
+  Mask2D mask = closed_box(30, 20, 1);
+  mask.fill_box({0, 0, 10, 20}, NodeType::kWall);  // rank 0 all wall
+  FluidParams p;
+  p.dt = 1.0;
+  p.force_x = 1e-5;
+  p.force_y = 4e-6;
+  for (int side : {0, 5}) {
+    SCOPED_TRACE(side);
+    BlockedDriver<2> driver(mask, p, Method::kLatticeBoltzmann,
+                            GridShape{3, 1, 1}, side);
+    // The blocks along x = 5..9 border the fluid at x = 10 and stay; at
+    // side 5 the ones along x = 0..4 touch only wall and are dropped.
+    for (int b = 0; b < driver.blocks().block_count(); ++b) {
+      const Box2 box = driver.blocks().box(b);
+      EXPECT_EQ(driver.blocks().block_active(b), box.x1 >= 10) << b;
+    }
+    driver.run(40);
+    expect_matches_serial2d(driver, mask, p, Method::kLatticeBoltzmann, 40);
+  }
 }
 
 long exchange_phases(const std::vector<Phase>& schedule) {

@@ -109,7 +109,9 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
 
 TEST(GatherFields, InactiveSubregionsGatherAsQuiescentState) {
   Mask2D mask = walled_box2d(30, 20, 1);
-  mask.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
+  // Left third solid, and one node past it so rank 0's wall layer touches
+  // no fluid.
+  mask.fill_box({0, 0, 11, 20}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = make_workdir("solid2d");

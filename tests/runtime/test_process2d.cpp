@@ -108,22 +108,6 @@ TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {
                 serial.domain().rho()(b.x0 + x, b.y0 + y));
 }
 
-TEST(ProcessRuntime, DropsAllSolidSubregions) {
-  const int nx = 30, ny = 20;
-  Mask2D mask = closed_box(nx, ny, 1);
-  FluidParams p;
-  p.dt = 1.0;
-  {
-    Mask2D solid = mask;
-    solid.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
-    const std::string workdir = make_workdir("solid");
-    const ProcessRunResult r =
-        run_multiprocess2d(solid, p, Method::kLatticeBoltzmann, 3, 1, 5,
-                           workdir);
-    EXPECT_EQ(r.processes, 2);  // rank 0 is entirely wall
-  }
-}
-
 /// Bitwise comparison of every restored rank dump against a serial run.
 void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
                            Method method, int jx, int jy, int steps,
@@ -146,8 +130,50 @@ void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
         ASSERT_EQ(sub.vx()(x, y),
                   serial.domain().vx()(b.x0 + x, b.y0 + y))
             << "rank " << rank << " at " << x << "," << y;
+        ASSERT_EQ(sub.vy()(x, y),
+                  serial.domain().vy()(b.x0 + x, b.y0 + y))
+            << "rank " << rank << " at " << x << "," << y;
       }
   }
+}
+
+TEST(ProcessRuntime, DropsAllSolidSubregions) {
+  const int nx = 30, ny = 20;
+  Mask2D mask = closed_box(nx, ny, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  {
+    // Left third solid, and one node past it so rank 0's wall layer
+    // touches no fluid.
+    Mask2D solid = mask;
+    solid.fill_box({0, 0, 11, 20}, NodeType::kWall);
+    const std::string workdir = make_workdir("solid");
+    const ProcessRunResult r =
+        run_multiprocess2d(solid, p, Method::kLatticeBoltzmann, 3, 1, 5,
+                           workdir);
+    EXPECT_EQ(r.processes, 2);  // rank 0 is entirely wall
+    expect_matches_serial(solid, p, Method::kLatticeBoltzmann, 3, 1, 5,
+                          workdir);
+  }
+}
+
+TEST(ProcessRuntime, SolidSubregionTouchingFluidMatchesSerialBitwise) {
+  // Rank 0 is all wall, but its last layer borders fluid: it keeps its
+  // process, so the wall nodes bounce back what the fluid emits exactly
+  // as in the serial run.  The body force makes a stale wall layer show
+  // in every field.
+  Mask2D solid = closed_box(30, 20, 1);
+  solid.fill_box({0, 0, 10, 20}, NodeType::kWall);
+  FluidParams p;
+  p.dt = 1.0;
+  p.force_x = 1e-5;
+  p.force_y = 4e-6;
+  const std::string workdir = make_workdir("solidtouch");
+  const ProcessRunResult r = run_multiprocess2d(
+      solid, p, Method::kLatticeBoltzmann, 3, 1, 40, workdir);
+  EXPECT_EQ(r.processes, 3);
+  expect_matches_serial(solid, p, Method::kLatticeBoltzmann, 3, 1, 40,
+                        workdir);
 }
 
 TEST(ProcessRuntime, PlainRunLeavesOneBlockDumpPerActiveRank) {
@@ -156,7 +182,8 @@ TEST(ProcessRuntime, PlainRunLeavesOneBlockDumpPerActiveRank) {
   // dump an older runtime left behind is removed, never restored.
   const Mask2D mask = closed_box(30, 20, 1);
   Mask2D solid = mask;
-  solid.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
+  // Left third solid, and one node past it so its wall touches no fluid.
+  solid.fill_box({0, 0, 11, 20}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = make_workdir("blockdumps");

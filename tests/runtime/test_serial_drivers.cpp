@@ -3,9 +3,10 @@
 #include <cmath>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/serial3d.hpp"
+#include "src/telemetry/summary.hpp"
 
 namespace subsonic {
 namespace {
@@ -92,26 +93,37 @@ TEST(WorkerStats, AccumulateAcrossRuns) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                       /*block_side=*/0);
+  auto stats = [&drv](int rank) {
+    return telemetry::collect_rank(drv.telemetry().metrics(), rank);
+  };
   drv.run(10);
-  const double after10 = drv.stats(0).compute_s;
+  const double after10 = stats(0).t_calc();
   EXPECT_GT(after10, 0.0);
-  EXPECT_GT(drv.stats(0).comm_s, 0.0);
+  EXPECT_GT(stats(0).t_com(), 0.0);
   drv.run(10);
-  EXPECT_GT(drv.stats(0).compute_s, after10);
-  const double g = drv.stats(0).utilization();
+  EXPECT_GT(stats(0).t_calc(), after10);
+  const double g = stats(0).utilization();
   EXPECT_GT(g, 0.0);
   EXPECT_LE(g, 1.0);
 }
 
 TEST(WorkerStats, InactiveRankHasNoStats) {
+  // Rank 0 (x < 10) is solid one node past its edge, so it touches no
+  // fluid and runs no worker.
   Mask2D mask(Extents2{30, 10}, 1);
-  mask.fill_box({0, 0, 10, 10}, NodeType::kWall);
+  mask.fill_box({0, 0, 11, 10}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 3, 1);
-  EXPECT_THROW(drv.stats(0), contract_error);
-  EXPECT_NO_THROW(drv.stats(1));
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann, GridShape{3, 1},
+                       /*block_side=*/0);
+  EXPECT_THROW(drv.block_domain(0), contract_error);
+  EXPECT_NO_THROW(drv.block_domain(1));
+  drv.run(2);
+  const auto& metrics = drv.telemetry().metrics();
+  EXPECT_EQ(telemetry::collect_rank(metrics, 0).t_calc(), 0.0);
+  EXPECT_GT(telemetry::collect_rank(metrics, 1).t_calc(), 0.0);
 }
 
 }  // namespace

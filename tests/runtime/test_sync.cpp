@@ -2,14 +2,16 @@
 // isolation and driving the threaded runtime to a common stop step.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <thread>
-#include <unistd.h>
+#include <vector>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/parallel3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/runtime/sync_file.hpp"
 
@@ -19,6 +21,14 @@ namespace {
 std::string tmp_sync(const char* name) {
   return std::string(::testing::TempDir()) + "/sync_" + name + "_" +
          std::to_string(::getpid());
+}
+
+/// A fresh directory for one test's block dumps: block_<b>.dump names are
+/// shared with other tests that may run concurrently.
+std::string tmp_dump_dir(const char* name) {
+  const std::string dir = tmp_sync(name) + ".d";
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
 }
 
 TEST(SyncFile, AnnounceAndReadBack) {
@@ -80,7 +90,8 @@ TEST(RunUntilSync, StopsEveryWorkerAtTheSameStep) {
   mask.fill_box({0, 0, 1, 32}, NodeType::kWall);
   mask.fill_box({47, 0, 48, 32}, NodeType::kWall);
 
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 3, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann, GridShape{3, 2},
+                       /*block_side=*/0);
   SyncFile sync(tmp_sync("drv"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -96,10 +107,10 @@ TEST(RunUntilSync, StopsEveryWorkerAtTheSameStep) {
   EXPECT_LT(ran, 100000);  // the request actually cut the run short
   // All subdomains paused at the same integration step.
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (!drv.is_active(r)) continue;
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (!drv.blocks().block_active(r)) continue;
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
 }
@@ -109,7 +120,8 @@ TEST(RunUntilSync, WithoutRequestRunsToCompletion) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                       /*block_side=*/0);
   SyncFile sync(tmp_sync("none"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -126,7 +138,8 @@ TEST(RunUntilSync, StaleSyncFileRecordsDoNotWedgeAFreshRun) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                       /*block_side=*/0);
   SyncFile sync(tmp_sync("stale"));
   sync.clear();
   sync.announce(0, 3);  // a full stale quorum from a previous round
@@ -143,10 +156,10 @@ TEST(RunUntilSync, StaleSyncFileRecordsDoNotWedgeAFreshRun) {
   EXPECT_GT(ran, 0);
   EXPECT_LT(ran, 100000);
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (!drv.is_active(r)) continue;
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (!drv.blocks().block_active(r)) continue;
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
 }
@@ -168,14 +181,16 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
             1.0 + 0.02 * std::sin(0.3 * (box.x0 + x) + 0.2 * (box.y0 + y));
   };
 
-  ParallelDriver2D straight(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> straight(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                            /*block_side=*/0);
   for (int r = 0; r < 4; ++r)
-    seed(straight.subdomain(r), straight.decomposition().box(r));
+    seed(straight.block_domain(r), straight.blocks().box(r));
   straight.reinitialize();
 
-  ParallelDriver2D before(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> before(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                          /*block_side=*/0);
   for (int r = 0; r < 4; ++r)
-    seed(before.subdomain(r), before.decomposition().box(r));
+    seed(before.block_domain(r), before.blocks().box(r));
   before.reinitialize();
 
   SyncFile sync(tmp_sync("mig"));
@@ -188,9 +203,11 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   const int ran = before.run_until_sync(100000, request, sync);
   trigger.join();
 
-  before.save_checkpoint(::testing::TempDir());
-  ParallelDriver2D after(mask, p, Method::kLatticeBoltzmann, 2, 2);
-  after.restore_checkpoint(::testing::TempDir());
+  const std::string dumps = tmp_dump_dir("mig");
+  before.save_blocks(dumps);
+  BlockedDriver<2> after(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2},
+                         /*block_side=*/0);
+  after.restore_blocks(dumps);
 
   const int total = ran + 40;
   straight.run(total);
@@ -203,12 +220,82 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   sync.clear();
 }
 
+TEST(RunUntilSync, SeveralBlocksPerRankStopTogetherAndMigrateBitwise) {
+  // Appendix B over an over-decomposed run: 2x2 ranks each owning several
+  // side-8 blocks.  Every block stops at the agreed step; the saved blocks
+  // then resume on a driver whose owner map moved every block to another
+  // rank, and the result is bit-identical to an uninterrupted run.
+  Mask2D mask(Extents2{36, 24}, 1);
+  mask.fill_box({10, 8, 14, 12}, NodeType::kWall);
+  FluidParams p;
+  p.dt = 1.0;
+  p.periodic_x = p.periodic_y = true;
+  const Method m = Method::kLatticeBoltzmann;
+
+  auto seeded = [](BlockedDriver<2>& drv) {
+    for (int b = 0; b < drv.blocks().block_count(); ++b) {
+      Domain2D& d = drv.block_domain(b);
+      const Box2 box = drv.blocks().box(b);
+      for (int y = 0; y < d.ny(); ++y)
+        for (int x = 0; x < d.nx(); ++x)
+          if (d.node(x, y) == NodeType::kFluid)
+            d.rho()(x, y) = 1.0 + 0.02 * std::sin(0.3 * (box.x0 + x) +
+                                                  0.2 * (box.y0 + y));
+    }
+    drv.reinitialize();
+  };
+  BlockedDriver<2> straight(mask, p, m, GridShape{2, 2}, /*block_side=*/8);
+  seeded(straight);
+  BlockedDriver<2> before(mask, p, m, GridShape{2, 2}, /*block_side=*/8);
+  seeded(before);
+  ASSERT_EQ(before.active_count(), 4);
+  for (int r = 0; r < 4; ++r)
+    ASSERT_GE(before.blocks().blocks_of(r).size(), 2u) << r;
+
+  SyncFile sync(tmp_sync("blocks"));
+  sync.clear();
+  std::atomic<bool> request{false};
+  std::thread trigger([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    request.store(true);
+  });
+  const int ran = before.run_until_sync(100000, request, sync);
+  trigger.join();
+  EXPECT_GT(ran, 0);
+  EXPECT_LT(ran, 100000);
+  for (int b = 0; b < before.blocks().block_count(); ++b)
+    EXPECT_EQ(before.block_domain(b).step(), ran) << "block " << b;
+
+  const std::string dumps = tmp_dump_dir("blocks");
+  before.save_blocks(dumps);
+  BlockDecomposition2D moved = before.blocks();
+  std::vector<int> owner = moved.owner_map();
+  for (int& r : owner) r = (r + 1) % 4;
+  moved.set_owner_map(owner);
+  BlockedDriver<2> after(mask, p, m, moved);
+  after.restore_blocks(dumps);
+  EXPECT_EQ(after.step(), ran);
+
+  straight.run(ran + 40);
+  after.run(40);
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy}) {
+    const auto a = straight.gather(id);
+    const auto b = after.gather(id);
+    for (int y = 0; y < 24; ++y)
+      for (int x = 0; x < 36; ++x)
+        ASSERT_EQ(a(x, y), b(x, y)) << static_cast<int>(id) << " at " << x
+                                    << "," << y;
+  }
+  sync.clear();
+}
+
 TEST(RunUntilSync3D, StopsEveryWorkerAtTheSameStep) {
   Mask3D mask(Extents3{16, 12, 10}, 1);
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  ParallelDriver3D drv(mask, p, Method::kLatticeBoltzmann, 2, 2, 1);
+  BlockedDriver<3> drv(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1},
+                       /*block_side=*/0);
   SyncFile sync(tmp_sync("drv3d"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -221,9 +308,9 @@ TEST(RunUntilSync3D, StopsEveryWorkerAtTheSameStep) {
   EXPECT_GT(ran, 0);
   EXPECT_LT(ran, 1000000);
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
 }
@@ -233,7 +320,8 @@ TEST(RunUntilSync3D, WithoutRequestRunsToCompletion) {
   FluidParams p;
   p.dt = 0.3;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  ParallelDriver3D drv(mask, p, Method::kFiniteDifference, 2, 1, 2);
+  BlockedDriver<3> drv(mask, p, Method::kFiniteDifference, GridShape{2, 1, 2},
+                       /*block_side=*/0);
   SyncFile sync(tmp_sync("none3d"));
   sync.clear();
   std::atomic<bool> request{false};
